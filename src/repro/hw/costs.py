@@ -80,7 +80,8 @@ class HardwareFeatures:
     crossover: bool = False
     #: Capacity of the WT / IWT caches (Section 5.1; small, TLB-like).
     wt_cache_entries: int = 16
-    #: Size of the per-VM EPTP list (architectural limit is 512).
+    #: Size of the hypervisor's EPTP list, shared by every VMCS
+    #: (architectural limit is 512).
     eptp_list_size: int = 512
     #: Optional Current-World-ID prefetch register (Section 5.1 ablation).
     current_wid_register: bool = False

@@ -1,9 +1,10 @@
 """Extended page tables (second-stage translation: GPA -> HPA).
 
 Each VM owns at least one :class:`EPT`.  The VMFUNC mechanism (Section
-4.1) additionally requires a per-VM :class:`EPTPList`: an array of EPT
+4.1) additionally requires an :class:`EPTPList`: an array of EPT
 pointers set up by the hypervisor, indexable by the guest via
-``VMFUNC(0, index)`` without causing a VM exit.
+``VMFUNC(0, index)`` without causing a VM exit.  Its address is a
+per-VMCS field; the hypervisor points every VMCS at one list.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class EPT:
 
 
 class EPTPList:
-    """The per-VM EPTP list VMFUNC(0) indexes into (Section 4.1).
+    """The EPTP list VMFUNC(0) indexes into (Section 4.1).
 
     The hypervisor writes entries; the guest can only *select* one by
     index.  An unset index selected by the guest raises a

@@ -2,10 +2,11 @@
 
 Modules:
 
-* ``vm``            — :class:`VirtualMachine`: EPT, EPTP list, VMCS,
+* ``vm``            — :class:`VirtualMachine`: EPT, VMCS,
   guest-physical allocation, pending virtual interrupts
-* ``hypervisor``    — the hypervisor proper: VM lifecycle, VM entry/exit
-  orchestration, hypercall dispatch, host processes
+* ``hypervisor``    — the hypervisor proper: VM lifecycle, the shared
+  EPTP list, VM entry/exit orchestration, hypercall dispatch, host
+  processes
 * ``hypercalls``    — hypercall numbers and the dispatch table
 * ``worlds``        — the world-registration service (WID allocation,
   per-VM quotas, world-table-cache miss servicing)

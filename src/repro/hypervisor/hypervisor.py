@@ -1,11 +1,11 @@
 """The hypervisor (KVM-like host kernel).
 
 Owns VM lifecycle, orchestrates VM entries/exits, dispatches hypercalls,
-manages the EPTP lists that make VMFUNC-based cross-VM switching
-possible (Section 4.3: each VM's EPT pointer is stored in every VM's
-EPTP list at the offset equal to its VM ID), runs the world-registration
-service, and hosts ring-3 host processes (the "Host User" world of
-Figure 1).
+owns the EPTP list that makes VMFUNC-based cross-VM switching possible
+(Section 4.3: each VM's EPT pointer sits at the offset equal to its VM
+ID in the list every VM selects from — one list, shared by every VMCS,
+written only by the hypervisor), runs the world-registration service,
+and hosts ring-3 host processes (the "Host User" world of Figure 1).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from repro import audit as _audit
 from repro import faults as _faults
 from repro.errors import ConfigurationError, GuestOSError, SimulationError
 from repro.hw.cpu import CPU, Mode, Ring
+from repro.hw.ept import EPTPList
 from repro.hw.mem import PAGE_SIZE, Frame
 from repro.hw.paging import PageTable
 from repro.hw.vmx import ExitReason
@@ -48,6 +49,9 @@ class Hypervisor:
         self._vms_by_id: Dict[int, VirtualMachine] = {}
         self._next_vm_id = 1
         self._next_common_gpa = COMMON_GPA_BASE
+        #: The one EPTP list every VM's VMCS points at.  Guests can only
+        #: select from it (VMFUNC fn 0); only ``create_vm`` writes it.
+        self.eptp_list = EPTPList(machine.features.eptp_list_size)
 
         self.worlds = WorldService(machine.world_table)
         self.injector = Injector()
@@ -64,21 +68,23 @@ class Hypervisor:
     # ------------------------------------------------------------------
 
     def create_vm(self, name: str) -> VirtualMachine:
-        """Create a VM and wire every VM's EPTP list (Section 4.3)."""
+        """Create a VM and install its EPT in the shared EPTP list at the
+        offset equal to its VM ID (Section 4.3).
+
+        Every VM's VMCS points at the same list, so this one slot makes
+        the new VM reachable from every VM, itself included.  A rejected
+        call changes nothing.
+        """
         if name in self.vms:
             raise ConfigurationError(f"VM name {name!r} already in use")
         vm_id = self._next_vm_id
-        self._next_vm_id += 1
-        vm = VirtualMachine(name, vm_id, self.machine.memory,
-                            self.machine.features.eptp_list_size)
-        if vm_id >= vm.eptp_list.size:
+        if vm_id >= self.eptp_list.size:
             raise ConfigurationError("EPTP list exhausted; too many VMs")
+        vm = VirtualMachine(name, vm_id, self.machine.memory, self.eptp_list)
+        self._next_vm_id += 1
         self.vms[name] = vm
         self._vms_by_id[vm_id] = vm
-        # Every VM (including the new one) can name every VM's EPT by ID.
-        for peer in self.vms.values():
-            peer.eptp_list.set(vm.vm_id, vm.ept)
-            vm.eptp_list.set(peer.vm_id, peer.ept)
+        self.eptp_list.set(vm_id, vm.ept)
         return vm
 
     def vm_by_name(self, name: str) -> VirtualMachine:

@@ -175,6 +175,9 @@ class CrossvmSuperblock:
     def _run(self, request_obj, server):
         cpu = self.cpu
         # --- guard vector (no state changed until it passes) ----------
+        # The ``vm_name`` check is what carries VM identity: every VMCS
+        # points at the hypervisor's one EPTP list, so the list identity
+        # and slot probes below only catch a rewired or re-pointed list.
         if (cpu.mode is not _NON_ROOT or cpu.vm_name != self.from_name
                 or cpu.ring != 0 or cpu.page_table is None):
             return DEOPT

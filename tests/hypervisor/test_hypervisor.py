@@ -4,10 +4,13 @@ processes."""
 import pytest
 
 from repro.errors import ConfigurationError, GuestOSError
+from repro.hw.costs import HardwareFeatures
 from repro.hw.cpu import Mode
+from repro.hw.ept import EPT, EPTPList
 from repro.hw.paging import PageTable
 from repro.hypervisor.hypercalls import Hypercall
 from repro.guestos.kernel import KERNEL_TEXT_GVA
+from repro.machine import Machine
 
 
 class TestVMLifecycle:
@@ -37,6 +40,58 @@ class TestVMLifecycle:
         for holder in vms:
             for target in vms:
                 assert holder.eptp_list.get(target.vm_id) is target.ept
+
+    def test_one_eptp_list_one_write_per_vm(self, machine, monkeypatch):
+        """Work proxy: n VMs cost exactly n ``EPTPList.set`` calls, and
+        every VM's VMCS points at the hypervisor's one list."""
+        calls = []
+        original = EPTPList.set
+
+        def counting_set(self, index, ept):
+            calls.append(index)
+            original(self, index, ept)
+
+        monkeypatch.setattr(EPTPList, "set", counting_set)
+        n = 40
+        vms = [machine.hypervisor.create_vm(f"vm{i}") for i in range(n)]
+        assert calls == [vm.vm_id for vm in vms]
+        shared = machine.hypervisor.eptp_list
+        for vm in vms:
+            assert vm.eptp_list is shared
+            assert vm.vmcs.guest.eptp_list is shared
+
+    def test_later_vm_reachable_by_vmfunc(self, machine):
+        """A VM created after vm0 was launched is selectable from vm0
+        with a real VMFUNC(0) EPT switch — no rewiring of vm0 needed."""
+        vm0 = machine.hypervisor.create_vm("vm0")
+        cpu = machine.cpu
+        machine.hypervisor.launch(cpu, vm0)
+        later = machine.hypervisor.create_vm("later")
+        exits = cpu.perf.events.get("vmexit", 0)
+        cpu.vmfunc(0, later.vm_id)
+        assert cpu.ept is later.ept
+        assert cpu.mode is Mode.NON_ROOT
+        assert cpu.perf.events.get("vmexit", 0) == exits
+        cpu.vmfunc(0, vm0.vm_id)
+        assert cpu.ept is vm0.ept
+
+    def test_rejected_create_vm_changes_nothing(self):
+        """EPTP list exhausted: the capacity check runs before any
+        mutation, so the hypervisor is exactly as it was."""
+        machine = Machine(features=HardwareFeatures(eptp_list_size=4))
+        hv = machine.hypervisor
+        for i in range(3):                                  # ids 1..3
+            hv.create_vm(f"vm{i}")
+        slots = list(hv.eptp_list._slots)
+        before = (dict(hv.vms), dict(hv._vms_by_id), hv._next_vm_id)
+        eptp_next = EPT().eptp
+        with pytest.raises(ConfigurationError, match="EPTP list exhausted"):
+            hv.create_vm("overflow")
+        assert (dict(hv.vms), dict(hv._vms_by_id), hv._next_vm_id) == before
+        assert hv.eptp_list._slots == slots
+        # No EPT was built for the rejected VM: the pointer counter did
+        # not advance past the probe above.
+        assert EPT().eptp == eptp_next + (1 << 12)
 
     def test_launch_enters_guest(self, machine):
         vm = machine.hypervisor.create_vm("a")

@@ -63,3 +63,8 @@ class TestVirqQueue:
         assert vm.vmcs.vm_name == "vm1"
         assert vm.vmcs.guest.ept is vm.ept
         assert vm.vmcs.guest.eptp_list is vm.eptp_list
+
+    def test_standalone_vm_gets_a_private_eptp_list(self, vm):
+        other = VirtualMachine("vm2", 2, vm.memory)
+        assert other.eptp_list is not vm.eptp_list
+        assert vm.eptp_list.size == 512

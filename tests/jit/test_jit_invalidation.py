@@ -148,3 +148,53 @@ class TestSuperblockSafety:
         keys = [key for key in engine._blocks if key[0] == "shadow"]
         assert keys == [], keys
         assert engine.stats.compiled > 0
+
+
+class TestCrossvmVmIdentityGuard:
+    def test_block_deopts_when_entered_from_a_third_vm(self):
+        """Every VMCS points at the hypervisor's one EPTP list, so the
+        list-identity guard cannot tell VMs apart; the ``vm_name`` guard
+        must.  A vm1->vm2 block executed from vm3's kernel deopts before
+        touching any state, and still hits from vm1."""
+        from repro.core.crossvm import CrossVMSyscallMechanism
+        from repro.guestos import boot_kernel
+        from repro.jit.superblocks import CrossvmSuperblock
+        from repro.testbed import build_two_vm_machine, enter_vm_kernel
+
+        machine, vm1, k1, vm2, k2 = build_two_vm_machine()
+        vm3 = machine.hypervisor.create_vm("vm3")
+        boot_kernel(machine, vm3)
+        mech = CrossVMSyscallMechanism(machine)
+        cpu = machine.cpu
+        with fastpath.scoped(True), cpu.trace.scoped(False):
+            enter_vm_kernel(machine, vm1)
+            mech.setup_pair(vm1, vm2)
+            enter_vm_kernel(machine, vm1)
+            expected_pid = mech.call(vm1, vm2, "getpid")
+            with jit.scoped(threshold=1) as engine:
+                block = CrossvmSuperblock.compile(engine, mech, vm1, vm2,
+                                                  None)
+                assert block is not None
+
+                enter_vm_kernel(machine, vm3)
+                # Every other guard passes: same list, same slots,
+                # guest kernel with a page table loaded.
+                assert cpu.eptp_list is block.eptp_list
+                assert cpu.ring == 0 and cpu.page_table is not None
+
+                def snapshot():
+                    return (_counters(machine), cpu.ept, cpu.vm_name,
+                            cpu.page_table, cpu.interrupts.idt,
+                            engine.stats.to_dict())
+
+                before = snapshot()
+                assert block.execute_syscall(
+                    "getpid", (), {}, None) is jit.DEOPT
+                assert block.execute_fn(lambda p: p, "x") is jit.DEOPT
+                assert snapshot() == before
+
+                enter_vm_kernel(machine, vm1)
+                hits = engine.stats.hits
+                assert block.execute_syscall(
+                    "getpid", (), {}, None) == expected_pid
+                assert engine.stats.hits == hits + 1
