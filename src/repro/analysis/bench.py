@@ -310,116 +310,6 @@ def run_telemetry_bench(tables: Tuple[str, ...] = DEFAULT_TABLES,
     return artifact
 
 
-def run_jit_bench(tables: Tuple[str, ...] = DEFAULT_TABLES,
-                  workers: Optional[int] = None,
-                  repeats: int = 3,
-                  seed_src: Optional[str] = None,
-                  micro_calls: int = 2000,
-                  output: Optional[str] = None) -> Dict[str, Any]:
-    """Measure the superblock trace-JIT's wall-clock win (BENCH_PR6).
-
-    Times the full sweep in five configurations, best of ``repeats``
-    each, and checks that every simulated number agrees across all of
-    them (the JIT's bit-identical-counters contract):
-
-    * ``stepwise``        — fast path off, serial: the seed-style
-      step-by-step interpreter;
-    * ``jit_off_serial``  — fast path on, no JIT (the PR1 runner);
-    * ``jit_off_parallel``— fast path on, no JIT, worker processes;
-    * ``jit_on_serial``   — fast path on, superblock engine installed;
-    * ``jit_on_parallel`` — fast path on, per-cell superblock engines
-      with deterministic stat merge.
-
-    The table sweeps are guest-workload-heavy, so the whole-sweep
-    speedup understates the transition-machinery win; the embedded
-    ``micro`` section (:func:`repro.jit.microbench.run_micro`) isolates
-    it on the paper's NULL cross-VM syscall.  With ``seed_src`` the
-    sweep is also timed against the seed checkout in a subprocess and
-    ``speedup_vs_seed`` reports seed time over the best JIT run.
-    """
-    from repro import jit as _jit
-    from repro.jit import microbench as _microbench
-
-    _gc_freeze()
-    with fastpath.scoped(False):
-        stepwise = _best_of(repeats, lambda: _run_serial(tables))
-    with fastpath.scoped(True):
-        off_serial = _best_of(repeats, lambda: _run_serial(tables))
-        off_parallel = _best_of(
-            repeats, lambda: _run_parallel(tables, workers))
-
-    jit_stats: Dict[str, Dict[str, int]] = {}
-
-    def _on_serial() -> Dict[str, Any]:
-        with _jit.scoped() as engine:
-            result = _run_serial(tables)
-            jit_stats["serial"] = engine.stats.to_dict()
-        return result
-
-    def _on_parallel() -> Dict[str, Any]:
-        # run_sweep installs a fresh per-cell engine in each worker and
-        # merges the cell stats back into this one in spec order.
-        with _jit.scoped() as engine:
-            result = _run_parallel(tables, workers)
-            jit_stats["parallel"] = engine.stats.to_dict()
-        return result
-
-    with fastpath.scoped(True):
-        on_serial = _best_of(repeats, _on_serial)
-        on_parallel = _best_of(repeats, _on_parallel)
-
-    equivalent = (stepwise["results"] == off_serial["results"]
-                  == off_parallel["results"] == on_serial["results"]
-                  == on_parallel["results"])
-
-    micro = _microbench.run_micro(calls=micro_calls)
-
-    best_on = min(on_serial["wall_seconds"], on_parallel["wall_seconds"])
-    artifact: Dict[str, Any] = {
-        "host": {
-            "cpus": parallel.default_workers(),
-            "python": platform.python_version(),
-        },
-        "tables": list(tables),
-        "repeats": repeats,
-        "gc": "startup heap frozen out of gen-2 scans on both sides",
-        "runs": {
-            "stepwise": _strip_results(stepwise),
-            "jit_off_serial": _strip_results(off_serial),
-            "jit_off_parallel": _strip_results(off_parallel),
-            "jit_on_serial": dict(_strip_results(on_serial),
-                                  jit=jit_stats["serial"]),
-            "jit_on_parallel": dict(_strip_results(on_parallel),
-                                    jit=jit_stats["parallel"]),
-        },
-        "equivalent": equivalent and micro["equivalent"],
-        "jit": jit_stats["serial"],
-        "micro": micro,
-        "jit_speedup_serial": round(
-            off_serial["wall_seconds"] / on_serial["wall_seconds"], 3),
-        "jit_speedup_parallel": round(
-            off_parallel["wall_seconds"] / on_parallel["wall_seconds"],
-            3),
-        "jit_speedup_vs_stepwise": round(
-            stepwise["wall_seconds"] / best_on, 3),
-        "micro_superblock_vs_baseline":
-            micro["speedups"]["superblock_vs_baseline"],
-    }
-
-    if seed_src is not None:
-        seed = _run_seed_baseline(seed_src, tables)
-        if seed is not None:
-            artifact["runs"]["seed"] = seed
-            artifact["speedup_vs_seed"] = round(
-                seed["wall_seconds"] / best_on, 3)
-
-    if output is not None:
-        with open(output, "w") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return artifact
-
-
 def run_switchless_bench(seed: int = 0, iterations: int = 5,
                          workers: Optional[int] = None,
                          repeats: int = 3,
@@ -501,24 +391,17 @@ def run_switchless_bench(seed: int = 0, iterations: int = 5,
 
 
 def dump_counters(tables: Tuple[str, ...] = DEFAULT_TABLES,
-                  jit_on: bool = False,
+                  fastpath_on: bool = True,
                   output: Optional[str] = None) -> str:
-    """Dump every simulated number of a serial fast-path sweep as
-    canonical JSON.
+    """Dump every simulated number of a serial sweep as canonical JSON.
 
-    CI runs this twice — ``--jit on`` and ``--jit off`` — and asserts
-    the two files are byte-identical (``cmp``): the JIT's equivalence
-    contract checked end-to-end, outside any Python test harness.
+    CI runs this twice — ``--fastpath off`` and ``--fastpath on`` — and
+    asserts the two files are byte-identical (``cmp``): stepwise and
+    fused charging checked end-to-end, outside any Python test harness.
     """
-    from repro import jit as _jit
-
     convention.clear_caches()
-    with fastpath.scoped(True):
-        if jit_on:
-            with _jit.scoped():
-                run = _run_serial(tables)
-        else:
-            run = _run_serial(tables)
+    with fastpath.scoped(fastpath_on):
+        run = _run_serial(tables)
     text = json.dumps(run["results"], indent=2, sort_keys=True) + "\n"
     if output is not None:
         with open(output, "w") as fh:
@@ -530,33 +413,25 @@ def main(argv=None) -> int:
     """``python -m repro.analysis.bench``: the bench harnesses.
 
     ``--mode telemetry`` (default) is the PR3 telemetry-overhead bench;
-    ``--mode jit`` produces the PR6 superblock artifact; ``--mode
-    switchless`` produces the PR7 call-engine artifact; ``--mode
-    counters`` dumps the sweep's simulated numbers for the CI
-    jit-on/off ``cmp``; ``--mode micro`` runs just the transition
-    microbenchmark.
+    ``--mode switchless`` produces the PR7 call-engine artifact;
+    ``--mode counters`` dumps the sweep's simulated numbers for the CI
+    fast-path off/on ``cmp``.
     """
     import argparse
 
     parser = argparse.ArgumentParser(
         description="Wall-clock bench harnesses (BENCH artifacts)")
     parser.add_argument("--mode", default="telemetry",
-                        choices=("telemetry", "jit", "switchless",
-                                 "counters", "micro"))
+                        choices=("telemetry", "switchless", "counters"))
     parser.add_argument("--output", default=None)
     parser.add_argument("--baseline-src", default=None, metavar="DIR",
                         help="a pre-telemetry checkout's src/ to time "
                         "as the true baseline (subprocess; telemetry "
                         "mode)")
-    parser.add_argument("--seed-src", default=None, metavar="DIR",
-                        help="the seed checkout's src/ for "
-                        "speedup_vs_seed (subprocess; jit mode)")
-    parser.add_argument("--jit", default="off", choices=("on", "off"),
-                        help="counters mode: run with or without the "
-                        "superblock engine")
+    parser.add_argument("--fastpath", default="on", choices=("on", "off"),
+                        help="counters mode: fused (on) or stepwise "
+                        "(off) charging")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--calls", type=int, default=2000,
-                        help="microbench calls per round")
     parser.add_argument("--seed", type=int, default=0,
                         help="switchless mode: campaign workload seed")
     parser.add_argument("--iterations", type=int, default=5,
@@ -567,21 +442,11 @@ def main(argv=None) -> int:
     tables = tuple(args.tables.split(","))
 
     if args.mode == "counters":
-        output = args.output or f"counters-jit-{args.jit}.json"
-        dump_counters(tables=tables, jit_on=args.jit == "on",
+        output = args.output or f"counters-fastpath-{args.fastpath}.json"
+        dump_counters(tables=tables, fastpath_on=args.fastpath == "on",
                       output=output)
-        print(f"counters (jit {args.jit}) -> {output}")
+        print(f"counters (fastpath {args.fastpath}) -> {output}")
         return 0
-
-    if args.mode == "micro":
-        from repro.jit import microbench
-        micro = microbench.run_micro(calls=args.calls)
-        text = json.dumps(micro, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        print(text)
-        return 0 if micro["equivalent"] else 1
 
     if args.mode == "switchless":
         artifact = run_switchless_bench(
@@ -606,28 +471,6 @@ def main(argv=None) -> int:
               f"{sl['summary']['worker_sweep_deterministic']}")
         print(f"equivalent: {artifact['equivalent']}  -> "
               f"{args.output or 'BENCH_PR7.json'}")
-        return 0 if artifact["equivalent"] else 1
-
-    if args.mode == "jit":
-        artifact = run_jit_bench(
-            tables=tables, repeats=args.repeats,
-            seed_src=args.seed_src, micro_calls=args.calls,
-            output=args.output or "BENCH_PR6.json")
-        runs = artifact["runs"]
-        print(f"stepwise: {runs['stepwise']['wall_seconds']}s  "
-              f"jit off: {runs['jit_off_serial']['wall_seconds']}s  "
-              f"jit on: {runs['jit_on_serial']['wall_seconds']}s "
-              f"(x{artifact['jit_speedup_serial']} serial, "
-              f"x{artifact['jit_speedup_vs_stepwise']} vs stepwise)")
-        micro = artifact["micro"]
-        print(f"micro {micro['op']}: "
-              f"{micro['variants']['baseline']['ns_per_call']}ns -> "
-              f"{micro['variants']['superblock']['ns_per_call']}ns "
-              f"(x{micro['speedups']['superblock_vs_baseline']})")
-        if "speedup_vs_seed" in artifact:
-            print(f"vs seed: x{artifact['speedup_vs_seed']}")
-        print(f"equivalent: {artifact['equivalent']}  "
-              f"jit: {artifact['jit']}")
         return 0 if artifact["equivalent"] else 1
 
     artifact = run_telemetry_bench(

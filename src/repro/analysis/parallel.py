@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import jit as _jit
 from repro import observatory as _observatory
 from repro import switchless as _switchless
 from repro import telemetry
@@ -47,7 +46,6 @@ class CellResult:
     wall_seconds: float
     worker_pid: int
     telemetry: Optional[Dict[str, Any]] = field(default=None, repr=False)
-    jit: Optional[Dict[str, int]] = field(default=None, repr=False)
     switchless: Optional[Dict[str, int]] = field(default=None, repr=False)
     observatory: Optional[Dict[str, Any]] = field(default=None, repr=False)
 
@@ -71,7 +69,6 @@ def _execute_cell(spec: CellSpec) -> CellResult:
     """
     runner, args = spec
     cell_telemetry: Optional[Dict[str, Any]] = None
-    cell_jit: Optional[Dict[str, int]] = None
     cell_switchless: Optional[Dict[str, int]] = None
     cell_observatory: Optional[Dict[str, Any]] = None
 
@@ -98,21 +95,8 @@ def _execute_cell(spec: CellSpec) -> CellResult:
         return value
 
     t0 = time.perf_counter()
-    # With the trace-JIT on, every cell gets its own fresh engine
-    # (same threshold/capacity as the installed one): heat and hit
-    # counts then depend only on the cell's own call stream, so the
-    # per-cell stats — and their spec-order merge — are identical at
-    # any worker count.
-    if _jit.enabled():
-        installed = _jit.engine()
-        assert installed is not None
-        jit_ctx = _jit.scoped(threshold=installed.threshold,
-                              capacity=installed.capacity)
-    else:
-        jit_ctx = None
-    engine = jit_ctx.__enter__() if jit_ctx is not None else None
-    # Same per-cell isolation for the switchless engine: a clone (same
-    # config, fresh counters/policy/rings) sees only the cell's own
+    # With a switchless engine installed, every cell gets a clone (same
+    # config, fresh counters/policy/rings) that sees only the cell's own
     # call stream, so flips and tuner moves — and the spec-order merge
     # of the counters — are identical at any worker count.
     if _switchless.enabled():
@@ -135,13 +119,10 @@ def _execute_cell(spec: CellSpec) -> CellResult:
         if sl_ctx is not None:
             cell_switchless = sl_engine.stats.to_dict()
             sl_ctx.__exit__(None, None, None)
-        if jit_ctx is not None:
-            cell_jit = engine.stats.to_dict()
-            jit_ctx.__exit__(None, None, None)
     return CellResult(runner=runner, args=args, value=value,
                       wall_seconds=time.perf_counter() - t0,
                       worker_pid=os.getpid(), telemetry=cell_telemetry,
-                      jit=cell_jit, switchless=cell_switchless,
+                      switchless=cell_switchless,
                       observatory=cell_observatory)
 
 
@@ -160,32 +141,13 @@ def _merge_cell_telemetry(cells: List[CellResult]) -> None:
                        else None)
 
 
-def _merge_cell_jit(cells: List[CellResult]) -> None:
-    """Fold each cell's superblock stats into the parent engine.
-
-    Cells are visited in spec order and addition is the only combine
-    step, so the merged totals are byte-identical at any worker count.
-    A parent telemetry session gets the same harvest as ``jit.*``
-    counters (the engine itself never increments metrics live — it only
-    runs while no session is installed).
-    """
-    engine = _jit.engine()
-    if engine is None:
-        return
-    session = telemetry.current()
-    for cell in cells:
-        if cell.jit is not None:
-            engine.stats.merge(cell.jit)
-            if session is not None:
-                session.on_jit_stats(cell.jit)
-
-
 def _merge_cell_switchless(cells: List[CellResult]) -> None:
     """Fold each cell's switchless counters into the parent engine.
 
-    Spec-order addition, exactly like the JIT merge: totals are
-    byte-identical at any worker count.  A parent telemetry session
-    absorbs the same harvest as ``switchless.*`` counters.
+    Cells are visited in spec order and addition is the only combine
+    step, so the merged totals are byte-identical at any worker count.
+    A parent telemetry session absorbs the same harvest as
+    ``switchless.*`` counters.
     """
     engine = _switchless.current()
     if engine is None:
@@ -222,7 +184,6 @@ def run_cells(specs: List[CellSpec], workers: Optional[int] = None
     """
     cells = _run_cells_raw(specs, workers)
     _merge_cell_telemetry(cells)
-    _merge_cell_jit(cells)
     _merge_cell_switchless(cells)
     _merge_cell_observatory(cells)
     return cells
@@ -317,15 +278,6 @@ def run_sweep(tables: Tuple[str, ...] = ("table4", "table5", "table6",
                    "worker_pid": c.worker_pid} for c in cells],
         "wall_seconds": total,
     }
-    if _jit.enabled():
-        merged = _jit.JitStats()
-        per_cell = []
-        for c in cells:
-            stats = c.jit or {name: 0 for name in _jit.STAT_FIELDS}
-            merged.merge(stats)
-            per_cell.append({"runner": c.runner, "args": list(c.args),
-                             "stats": stats})
-        sweep["jit"] = {"totals": merged.to_dict(), "cells": per_cell}
     if _switchless.enabled():
         installed_sl = _switchless.current()
         assert installed_sl is not None

@@ -15,7 +15,6 @@ Usage::
     crossover-bench --record BENCH_PR3.json --label PR3
     crossover-bench --compare bench-ci.json --against PR3 --threshold 0.5
     crossover-bench --show
-    crossover-bench --micro --calls 2000
 
 ``--compare`` is report-only by default (always exit 0, print the
 verdict table) so CI can surface regressions without blocking merges on
@@ -41,6 +40,8 @@ _SCALAR_SERIES = {
     "overhead_enabled_percent": "lower",
     "overhead_disabled_percent": "lower",
     "overhead_full_percent": "lower",
+    # BENCH_PR6 recorded these; its harness is gone, but the ledger
+    # still reads that artifact.
     "jit_speedup_serial": "higher",
     "jit_speedup_parallel": "higher",
     "jit_speedup_vs_stepwise": "higher",
@@ -406,15 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "recorded baseline entry")
     action.add_argument("--show", action="store_true",
                         help="print the ledger as a table")
-    action.add_argument("--micro", action="store_true",
-                        help="run the steady-state transition "
-                             "microbenchmark (baseline vs VMFUNC vs "
-                             "superblock ns/call)")
-    parser.add_argument("--calls", type=int, default=2000,
-                        help="--micro: calls per timed round "
-                             "(default: %(default)s)")
-    parser.add_argument("--output", default=None, metavar="FILE",
-                        help="--micro: also write the JSON artifact")
     parser.add_argument("--trajectory", default="TRAJECTORY.json",
                         metavar="FILE",
                         help="ledger file (default: %(default)s)")
@@ -435,16 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.micro:
-        from repro.jit import microbench
-        micro = microbench.run_micro(calls=args.calls)
-        text = json.dumps(micro, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        print(text)
-        return 0 if micro["equivalent"] else 1
 
     try:
         trajectory = load_trajectory(args.trajectory)

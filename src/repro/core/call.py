@@ -30,7 +30,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import audit as _audit
 from repro import faults as _faults
-from repro import jit as _jit
 from repro import observatory as _observatory
 from repro import switchless as _switchless
 from repro import telemetry
@@ -220,9 +219,9 @@ class WorldCallRuntime:
         worker context in the callee world services the request over a
         shared-memory ring — needs an installed
         :mod:`repro.switchless` engine).  With ``mechanism=None`` and
-        an engine installed, the engine's adaptive policy decides; the
-        seam sits *above* the JIT hook, so a site the policy has
-        flipped routes away before any compiled superblock runs.
+        an engine installed, the engine's adaptive policy decides
+        before any other layer runs, so a site the policy has flipped
+        never reaches the VMFUNC path.
         """
         engine = _switchless._engine
         if engine is not None and mechanism is None:
@@ -361,15 +360,6 @@ class WorldCallRuntime:
 
     def _call(self, caller: World, callee_wid: int, payload: Any, *,
               authorize: bool) -> Any:
-        engine = _jit._engine
-        if engine is not None:
-            # A compiled superblock executes the whole round trip; any
-            # exception it raises travels through the same retry and
-            # legacy-fallback layers as an interpreter-raised one.
-            result = engine.world_call(self, caller, callee_wid, payload,
-                                       authorize)
-            if result is not _jit.DEOPT:
-                return result
         cpu = self.machine.cpu
         if not caller.matches_cpu(cpu):
             raise SimulationError(

@@ -492,7 +492,8 @@ def roundtrip(value: Any) -> "tuple[bytes, Any]":
     does zero hashing of the produced wire bytes.  Callers must only use
     this while no fault engine is installed — the poison-repair CRC
     validation lives in :func:`encode` and is deliberately skipped here
-    (the superblock dispatch layer deopts whenever faults are armed).
+    (:meth:`~repro.core.call.WorldCallRuntime._call` takes the separate
+    encode/decode path whenever faults are armed).
     """
     if not fastpath.enabled():
         wire = encode(value)

@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import audit as _audit
 from repro import faults as _faults
-from repro import jit as _jit
 from repro import switchless as _switchless
 from repro import telemetry
 from repro.core import convention, fastpath
@@ -201,8 +200,8 @@ class CrossVMSyscallMechanism:
         trap-based ``"baseline"``, or ``"switchless"`` (a worker in
         ``to_vm`` services the request over a shared-memory ring).
         With an installed :mod:`repro.switchless` engine and no
-        explicit choice, the engine's policy decides; the seam sits
-        above the JIT hook so flipped sites bypass compiled superblocks.
+        explicit choice, the engine's policy decides; the seam runs
+        first, so flipped sites never reach the VMFUNC round trip.
         """
 
         def serve(payload):
@@ -219,12 +218,6 @@ class CrossVMSyscallMechanism:
                              (name, args, kwargs), serve, "crossvm")
         if routed is not _NOT_ROUTED:
             return routed
-        engine = _jit._engine
-        if engine is not None:
-            result = engine.crossvm_syscall(self, from_vm, to_vm, name,
-                                            args, kwargs, executor)
-            if result is not _jit.DEOPT:
-                return result
         return self._roundtrip(from_vm, to_vm, (name, args, kwargs), serve)
 
     def call_function(self, from_vm: VirtualMachine,
@@ -243,12 +236,6 @@ class CrossVMSyscallMechanism:
                              "crossvm_fn")
         if routed is not _NOT_ROUTED:
             return routed
-        engine = _jit._engine
-        if engine is not None:
-            result = engine.crossvm_function(self, from_vm, to_vm, fn,
-                                             payload)
-            if result is not _jit.DEOPT:
-                return result
         return self._roundtrip(from_vm, to_vm, payload, fn)
 
     def _route(self, from_vm: VirtualMachine, to_vm: VirtualMachine,

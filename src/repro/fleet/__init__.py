@@ -6,8 +6,8 @@ and replays millions of synthetic user requests against them:
 
 * :mod:`repro.fleet.shards` — a sharded world table (contiguous WID
   ranges, per-shard epochs) plus per-shard WT/IWT caches, so one
-  tenant's revocations and cache traffic never invalidate another's
-  JIT superblocks or switchless flips;
+  tenant's revocations and cache traffic never evict another's
+  entries or move another's shard epoch;
 * :mod:`repro.fleet.scheduler` — a deterministic modeled-cycle event
   loop interleaving thousands of in-flight world calls (issue /
   transition / callee service / return events on a heap keyed by
@@ -21,7 +21,7 @@ and replays millions of synthetic user requests against them:
   a schema-validated ``crossover-fleet/v1`` artifact with throughput
   and p50/p99/p999 latency curves.
 
-Unlike telemetry/faults/jit/switchless this is **not** a module-global
+Unlike telemetry/faults/switchless this is **not** a module-global
 subsystem: it is a runner-layer engine like
 :mod:`repro.analysis.parallel` — you build a fleet and run it; nothing
 hooks the single-pair hot paths when you don't.

@@ -2,8 +2,8 @@
 
 One simulated machine hosting *thousands* of worlds across many tenant
 VMs cannot afford the flat table's blast radius: with a single mutation
-epoch, revoking one tenant's world invalidates every other tenant's
-JIT superblocks, and with one global LRU pair, one tenant's cache-fill
+epoch, revoking one tenant's world moves the epoch every other tenant
+is keyed on, and with one global LRU pair, one tenant's cache-fill
 traffic evicts everyone else's hot entries.
 
 :class:`ShardedWorldTable` splits the WID space into ``shards``
@@ -18,12 +18,11 @@ integer divide, and the flat table's O(1) dict walks are untouched.
 :class:`ShardedWorldTableCaches` mirrors the split on the per-core
 cache pair: each shard gets its own fixed-capacity WT/IWT LRU and its
 own content epoch, so ``manage_wtc`` traffic servicing tenant A's
-misses can neither evict tenant B's resident entries nor invalidate
-superblocks compiled against B's shard.  The facade keeps the exact
-probe surface of :class:`~repro.hw.world_table.WorldTableCaches`
-(``wt``/``iwt`` with ``_entries.get``, ``lookup_*`` raising
-:class:`~repro.errors.WorldTableCacheMiss`) so the CPU datapath and
-the JIT superblocks run on it unmodified.
+misses can neither evict tenant B's resident entries nor move B's
+shard epoch.  The facade keeps the exact probe surface of
+:class:`~repro.hw.world_table.WorldTableCaches` (``wt``/``iwt``,
+``lookup_*`` raising :class:`~repro.errors.WorldTableCacheMiss`) so the
+CPU datapath runs on it unmodified.
 """
 
 from __future__ import annotations
@@ -155,10 +154,10 @@ class ShardedWorldTable(WorldTable):
 class _ShardedLRU:
     """Per-shard fixed-capacity LRUs behind one flat probe surface.
 
-    ``_entries`` is the union dict the JIT superblocks probe with
-    ``.get`` — O(1) and always in sync with the per-shard LRUs, which
-    carry the capacity/eviction bookkeeping so one shard's fills can
-    only evict that shard's entries.
+    ``_entries`` is the union dict every probe reads with ``.get`` —
+    O(1) and always in sync with the per-shard LRUs, which carry the
+    capacity/eviction bookkeeping so one shard's fills can only evict
+    that shard's entries.
     """
 
     __slots__ = ("capacity", "_lrus", "_entries", "_key_shard",
@@ -226,8 +225,7 @@ class ShardedWorldTableCaches(WorldTableCaches):
     """Per-core WT/IWT caches partitioned by the table's shards.
 
     Capacity is *per shard*: tenant A's ``manage_wtc`` fills can evict
-    only shard-A entries, and only shard-A's content epoch moves — the
-    isolation the fleet's per-shard superblock keys rely on.
+    only shard-A entries, and only shard-A's content epoch moves.
     """
 
     def __init__(self, table: ShardedWorldTable,

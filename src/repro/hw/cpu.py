@@ -451,8 +451,7 @@ class CPU:
 
         ``wid_register`` is the hardware-authenticated WID presented to
         the destination (the caller's WID on the way out, the callee's
-        on the way back).  Shared by the interpreter datapath above and
-        the :mod:`repro.jit` superblocks so the two cannot drift.
+        on the way back).
         """
         self.mode = Mode.ROOT if entry.host_mode else Mode.NON_ROOT
         self.ring = entry.ring

@@ -71,8 +71,8 @@ class WorldTable:
     """
 
     #: Flat table: one global epoch.  The fleet's sharded subclass
-    #: flips this so per-WID consumers (the JIT world-call site) know
-    #: to key on :meth:`epoch_of` instead of :attr:`epoch`.
+    #: flips this to say that :meth:`epoch_of` is per shard rather than
+    #: the global :attr:`epoch`.
     sharded = False
 
     def __init__(self) -> None:
@@ -80,10 +80,9 @@ class WorldTable:
         self._by_context: Dict[ContextKey, WorldTableEntry] = {}
         self._next_wid = 1
         #: Monotonic mutation counter.  Every structural change to the
-        #: table (create/destroy/evict/restore) bumps it; consumers that
-        #: precompute world lookups (the superblock cache in
-        #: :mod:`repro.jit`) key their entries on the epoch so any
-        #: table mutation invalidates them wholesale.
+        #: table (create/destroy/evict/restore) bumps it, so a consumer
+        #: that precomputes world lookups can key them on the epoch and
+        #: drop them on any table mutation.
         self.epoch = 0
         #: Live-world count per owner VM, maintained on every mutation
         #: so the per-VM DoS-quota check stays O(1) with thousands of
@@ -209,9 +208,8 @@ class WorldTable:
 
         The flat table has a single epoch; the sharded table
         (:class:`repro.fleet.shards.ShardedWorldTable`) overrides this
-        to return the owning *shard's* epoch so consumers keyed per-WID
-        (the JIT's world-call superblocks) survive mutations in other
-        shards.
+        to return the owning *shard's* epoch, so a consumer keyed per
+        WID is unaffected by mutations in other shards.
         """
         return self.epoch
 
@@ -291,8 +289,8 @@ class WorldTableCaches:
 
         The sharded caches (:class:`repro.fleet.shards.
         ShardedWorldTableCaches`) override this with the owning shard
-        cache's epoch so ``manage_wtc`` traffic for one tenant's shard
-        cannot invalidate superblocks compiled for another's.
+        cache's epoch, so ``manage_wtc`` traffic for one tenant's shard
+        leaves every other shard's epoch unchanged.
         """
         return self.epoch
 

@@ -74,10 +74,10 @@ class WorldService:
         """Unregister a world and invalidate it in every CPU's caches.
 
         With a sharded table only the owning shard's epochs move, so
-        superblocks and cache entries for other tenants' shards stay
-        live.  An installed switchless engine is told to forget the
-        revoked world's sites — its *other* sites (other tenants'
-        flips, rings, windows) survive untouched.
+        cache entries for other tenants' shards stay live.  An installed
+        switchless engine is told to forget the revoked world's sites —
+        its *other* sites (other tenants' flips, rings, windows) survive
+        untouched.
         """
         entry = self.table.destroy(wid)
         entry.present = False

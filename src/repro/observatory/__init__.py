@@ -3,12 +3,11 @@
 Every other observer in this codebase answers *how much*: end-of-run
 metric snapshots, profiles, audit logs.  The observatory answers
 **when**: it samples deltas of every registry counter (plus subsystem
-stats — switchless occupancy and flips, JIT hit rates and deopts,
-fault injections and recoveries, audit denials) into fixed-width
-windows on the **modeled-cycle clock**, and pins discrete events
-(policy flip, superblock compile/invalidation, fault injection,
-recovery, audit denial) to the window they happened in — so a jump in
-cycles/call is attributable to the event that preceded it.
+stats — switchless occupancy and flips, fault injections and
+recoveries, audit denials) into fixed-width windows on the
+**modeled-cycle clock**, and pins discrete events (policy flip, fault
+injection, recovery, audit denial) to the window they happened in — so
+a jump in cycles/call is attributable to the event that preceded it.
 
 Mechanics.  :class:`~repro.hw.perf.PerfCounters` carries a
 next-boundary threshold; ``charge``/``charge_batch`` compare the cycle
@@ -36,7 +35,7 @@ exporters (:mod:`repro.observatory.exporters`) and the
 ``crossover-top`` CLI (:mod:`repro.observatory.cli`).
 
 This package is a leaf: it must not import the machine stack — or any
-subsystem that imports *it* (hw.perf, jit, switchless, faults, audit)
+subsystem that imports *it* (hw.perf, switchless, faults, audit)
 — at module top, only lazily inside functions.
 """
 
@@ -194,19 +193,6 @@ class Observatory:
         self.store.add_event("switchless.flip", site, mechanism,
                              base + cycles)
 
-    def on_jit_event(self, kind: str, detail: str,
-                     cycles: Optional[int] = None) -> None:
-        """A superblock compile or invalidation (``kind`` is
-        ``compile`` / ``invalidate``)."""
-        if cycles is None:
-            stamp = self._now()
-        else:
-            perf = self._perf
-            base = (perf._obs_base if perf is not None
-                    and getattr(perf, "_obs", None) is self else 0)
-            stamp = base + cycles
-        self.store.add_event(f"jit.{kind}", detail, "", stamp)
-
     def on_fault(self, site: str) -> None:
         """The fault engine fired one planned fault."""
         self.store.add_event("fault.injected", site, "", self._now())
@@ -237,15 +223,8 @@ class Observatory:
         subsystem stat taps."""
         from repro import audit as _audit
         from repro import faults as _faults
-        from repro import jit as _jit
         from repro import switchless as _switchless
         groups: Dict[str, Any] = {}
-        engine = _jit._engine
-        if engine is not None:
-            counters = {f"jit.{name}": value for name, value
-                        in engine.stats.to_dict().items()}
-            groups["jit"] = (engine, counters,
-                             {"jit.blocks": engine.block_count()})
         sl = _switchless._engine
         if sl is not None:
             counters = {f"switchless.{name}": value for name, value

@@ -29,7 +29,7 @@ Cost accounting (all primitives live in :class:`repro.hw.costs.CostModel`):
 
 The engine is a zero-cost-when-disabled module global (see
 ``repro.switchless.install``): the dispatch seams read one module
-attribute and branch on ``None``, like telemetry/faults/audit/jit.
+attribute and branch on ``None``, like telemetry/faults/audit.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from repro.errors import (
 )
 from repro.switchless.policy import AdaptivePolicy
 
-#: Additive counters, in merge order (mirrors ``jit.STAT_FIELDS``).
+#: Additive counters, in merge order.
 STAT_FIELDS = (
     "calls",
     "hot_calls",
@@ -199,10 +199,13 @@ class SwitchlessEngine:
         before = len(self.policy.flips)
         mechanism = self.policy.decide((kind, caller_id, callee_id), cycles)
         if len(self.policy.flips) != before:
-            self._on_flip(self.policy.flips[-1][1])
+            site, to_mechanism, at_cycles = self.policy.flips[-1]
+            if to_mechanism == "switchless":
+                self.stats.flips_to_switchless += 1
+            else:
+                self.stats.flips_to_world_call += 1
             obs = _observatory._session
             if obs is not None:
-                site, to_mechanism, at_cycles = self.policy.flips[-1]
                 obs.on_flip(site, to_mechanism, at_cycles)
         if mode == "observe":
             return None
@@ -589,33 +592,3 @@ class SwitchlessEngine:
         self._win_wakeups = 0
         self._win_reassigns = 0
         self._win_waste = 0
-
-    # ------------------------------------------------------------------
-    # flips (JIT interplay)
-    # ------------------------------------------------------------------
-
-    def site_flipped(self, kind: str, caller_id: Any, callee_id: Any
-                     ) -> bool:
-        """Whether a site is currently flipped to switchless (the JIT's
-        compile veto consults this: compiling a superblock for a site
-        the policy has diverted is wasted work)."""
-        if self.config.mode == "force":
-            return True
-        if self.config.mode == "observe":
-            return False
-        return self.policy.mechanism_of(
-            (kind, caller_id, callee_id)) == "switchless"
-
-    def _on_flip(self, to_mechanism: str) -> None:
-        if to_mechanism == "switchless":
-            self.stats.flips_to_switchless += 1
-        else:
-            self.stats.flips_to_world_call += 1
-        if self.config.mode != "adaptive":
-            return
-        # Superblocks compiled for the flipped site are dead weight (the
-        # seam routes around them before the JIT hook); drop them.
-        from repro import jit as _jit
-        engine = _jit._engine
-        if engine is not None:
-            engine.invalidate_all()

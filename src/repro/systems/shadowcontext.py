@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro import jit as _jit
 from repro.core import convention, fastpath
 from repro.errors import GuestOSError
 from repro.hw.vmx import ExitReason
@@ -37,12 +36,6 @@ STACK_STEPS = {
     ("vmexit", "shadowcontext done"): "vmcall-done",
     ("vmentry", "resume trusted VM"): "resume-trusted",
 }
-
-#: Every step of the inject-into-dummy path is straight-line — the
-#: dummy is always the injection target, so there is no scheduling
-#: decision to replay — which is why this is the one baseline path the
-#: trace-JIT compiles end to end.
-SUPERBLOCK_SAFE = frozenset(STACK_STEPS.values())
 
 
 class ShadowContext(CrossWorldSystem):
@@ -70,11 +63,6 @@ class ShadowContext(CrossWorldSystem):
     # ------------------------------------------------------------------
 
     def _baseline_redirect(self, name: str, *args, **kwargs) -> Any:
-        engine = _jit._engine
-        if engine is not None:
-            result = engine.shadow_redirect(self, name, args, kwargs)
-            if result is not _jit.DEOPT:
-                return result
         cpu = self.machine.cpu
         hypervisor = self.machine.hypervisor
         cm = self.machine.cost_model

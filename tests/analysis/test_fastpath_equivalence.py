@@ -11,6 +11,8 @@ import pytest
 from repro.analysis import experiments, parallel
 from repro.core import convention, fastpath
 
+from tests.core.test_marshal_hoist import _build_worldcall_harness
+
 #: Every Table-4 column: native plus each system x variant.
 COLUMNS = [(None, False)] + [(name, optimized)
                              for name in experiments.SYSTEMS
@@ -63,6 +65,28 @@ class TestMergedResults:
         with fastpath.scoped(True):
             fast = experiments.table5_cell("uptime")
         assert slow == fast
+
+
+class TestWorldCallMicroflow:
+    """The bare runtime with no system around it: a hot world-call
+    round trip returns the same results and counters stepwise and
+    fused."""
+
+    def _roundtrip_counters(self, fast, calls=24):
+        machine, runtime, caller, callee = _build_worldcall_harness(
+            lambda request: ("pong", request.payload))
+        convention.clear_caches()
+        with fastpath.scoped(fast), machine.cpu.trace.scoped(False):
+            results = [runtime.call(caller, callee.wid, ("ping", i))
+                       for i in range(calls)]
+        perf = machine.cpu.perf
+        return results, (perf.instructions, perf.cycles, dict(perf.events))
+
+    def test_worldcall_roundtrip_identical(self):
+        slow_results, slow_counters = self._roundtrip_counters(False)
+        fast_results, fast_counters = self._roundtrip_counters(True)
+        assert fast_results == slow_results
+        assert fast_counters == slow_counters
 
 
 class TestParallelRunner:

@@ -174,3 +174,21 @@ class TestCli:
         assert trajectory.main(["--show", "--trajectory", ledger]) == 0
         out = capsys.readouterr().out
         assert "PR1" in out and "runs.sweep.wall_seconds" in out
+
+
+class TestHistoricalArtifacts:
+    """BENCH_PR6 was recorded by a harness that no longer exists; the
+    bench schema and the ledger must keep reading it."""
+
+    def test_bench_pr6_validates(self, capsys):
+        assert schema.main(["bench", "BENCH_PR6.json"]) == 0
+        assert "valid bench artifact" in capsys.readouterr().out
+
+    def test_show_prints_pr6_entry(self, capsys):
+        assert trajectory.main(["--show",
+                                "--trajectory", "TRAJECTORY.json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        column = lines[0].split().index("PR6")
+        rows = {line.split()[0]: line.split() for line in lines[2:]}
+        assert rows["jit_speedup_serial"][column] == "1.297"
+        assert rows["micro_superblock_vs_baseline"][column] == "3.76"

@@ -10,7 +10,26 @@ with counting stubs so the re-derivation cannot creep back in.
 
 from repro.core import convention, fastpath
 
-from tests.jit.test_jit_equivalence import _build_worldcall_harness
+
+def _build_worldcall_harness(handler):
+    """A bare two-VM runtime: one kernel world calling another whose
+    handler is ``handler``, with the CPU left in the caller."""
+    from repro.core.call import WorldCallRuntime
+    from repro.core.world import WorldRegistry
+    from repro.hw.costs import FEATURES_CROSSOVER
+    from repro.testbed import build_two_vm_machine, enter_vm_kernel
+
+    machine, vm1, k1, vm2, k2 = build_two_vm_machine(
+        features=FEATURES_CROSSOVER)
+    registry = WorldRegistry(machine)
+    runtime = WorldCallRuntime(machine, registry)
+    enter_vm_kernel(machine, vm1)
+    caller = registry.create_kernel_world(k1)
+    enter_vm_kernel(machine, vm2)
+    callee = registry.create_kernel_world(k2, handler=handler)
+    enter_vm_kernel(machine, vm1)
+    machine.cpu.write_cr3(k1.master_page_table)
+    return machine, runtime, caller, callee
 
 
 def _counting(monkeypatch, name, counts):

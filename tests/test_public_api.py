@@ -239,7 +239,7 @@ class TestSwitchlessSurface:
         assert switchless.current() is None
 
     def test_switchless_core_modules_are_leaves(self):
-        """Hot datapath modules (core.call, core.crossvm, jit) import
+        """Hot datapath modules (core.call, core.crossvm) import
         repro.switchless at module top; the engine and policy modules
         must never import the machine stack at module top or the cycle
         would bite.  (Lazy function-level imports are fine; campaign
@@ -249,7 +249,7 @@ class TestSwitchlessSurface:
         from repro import switchless
         banned = ("repro.hw", "repro.core", "repro.hypervisor",
                   "repro.machine", "repro.systems", "repro.telemetry",
-                  "repro.analysis", "repro.workloads", "repro.jit")
+                  "repro.analysis", "repro.workloads")
         package_dir = os.path.dirname(switchless.__file__)
         for filename in ("__init__.py", "engine.py", "policy.py"):
             with open(os.path.join(package_dir, filename)) as fh:
@@ -311,7 +311,7 @@ class TestObservatorySurface:
         from repro import observatory
         banned = ("repro.hw", "repro.core", "repro.hypervisor",
                   "repro.machine", "repro.systems", "repro.telemetry",
-                  "repro.analysis", "repro.workloads", "repro.jit",
+                  "repro.analysis", "repro.workloads",
                   "repro.switchless", "repro.faults", "repro.audit")
         package_dir = os.path.dirname(observatory.__file__)
         for filename in ("__init__.py", "store.py", "slo.py"):
@@ -341,9 +341,8 @@ class TestFleetSurface:
         """repro.fleet is a runner-layer engine: importing it must not
         install a module-global engine anywhere."""
         import repro.fleet  # noqa: F401
-        from repro import faults, jit, switchless, telemetry
+        from repro import faults, switchless, telemetry
         assert switchless._engine is None
-        assert jit._engine is None
         assert faults._engine is None
         assert telemetry.current() is None
 

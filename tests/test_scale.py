@@ -142,9 +142,8 @@ class TestDeepNesting:
 class TestFleetScale:
     def test_thousand_world_fleet_shard_isolation(self):
         """500 tenants (1000 worlds) on the sharded table: revoking
-        tenant A's callee moves only A's shard epochs — tenant B's JIT
-        superblock key inputs (table + cache epochs) and its switchless
-        site survive untouched."""
+        tenant A's callee moves only A's shard epochs — tenant B's table
+        and cache epochs and its switchless site survive untouched."""
         from repro import switchless
         from repro.fleet import traffic
         from repro.fleet.scheduler import build_fleet
@@ -170,8 +169,7 @@ class TestFleetScale:
 
             fleet.revoke_and_recreate(a)
 
-            # B's epochs — the sharded JIT superblock guard terms — did
-            # not move, so B's compiled blocks stay valid.
+            # B's table and cache epochs did not move.
             assert table.epoch_of(b.callee_wid) == b_table_epoch
             assert caches.epoch_of(b.callee_wid) == b_cache_epoch
             # A's shard saw the destroy + create, and the old WID's
