@@ -1,6 +1,6 @@
 """Analysis & reporting: experiment runners, table formatters, paper
-reference values, and the ``crossover-report`` CLI that regenerates
-every table/figure of the evaluation."""
+reference values, and the ``crossover report`` subcommand that
+regenerates every table/figure of the evaluation."""
 
 from repro.analysis.calibration import PAPER
 from repro.analysis.measure import Measurement, measured_region

@@ -1,10 +1,9 @@
-"""``crossover-report``: regenerate every table/figure of the paper.
+"""``crossover report``: regenerate every table/figure of the paper.
 
 Usage::
 
-    crossover-report                 # all tables, plain text
-    crossover-report --quick        # skip the slow Table 5/6 runs
-    python -m repro.analysis.report
+    crossover report                 # all tables, plain text
+    crossover report --quick         # skip the slow Table 5/6 runs
 
 Each section prints measured values side-by-side with the paper's
 published numbers (absolute fidelity is not the goal — see DESIGN.md —
@@ -13,7 +12,6 @@ but who wins, by roughly what factor, must match).
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import List, Optional
 
@@ -232,59 +230,6 @@ def build_report(sections=None) -> str:
     return "\n\n".join(parts)
 
 
-def main(argv=None) -> int:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(
-        description="Regenerate the CrossOver paper's tables and figures")
-    parser.add_argument("--quick", action="store_true",
-                        help="only the fast sections (skip Tables 4-6)")
-    parser.add_argument("--markdown", action="store_true",
-                        help="emit the EXPERIMENTS-style markdown report")
-    parser.add_argument("--section", action="append", choices=SECTIONS,
-                        help="run only the named section(s)")
-    parser.add_argument("--parallel", action="store_true",
-                        help="fan table sweeps over worker processes")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker count for --parallel "
-                        "(default: one per CPU)")
-    parser.add_argument("--bench", metavar="PATH", default=None,
-                        help="run the before/after sweep benchmark and "
-                        "write the BENCH JSON artifact to PATH")
-    parser.add_argument("--bench-seed-src", metavar="DIR", default=None,
-                        help="also time the sweep against another source "
-                        "tree (e.g. a seed checkout's src/)")
-    parser.add_argument("--telemetry", metavar="DIR", default=None,
-                        help="collect telemetry while the report runs and "
-                        "write trace/metrics/matrix/profile artifacts "
-                        "to DIR")
-    parser.add_argument("--hotspots", type=int, default=10, metavar="N",
-                        help="rows in the top-N hotspot table printed "
-                        "with --telemetry (default: %(default)s; 0 "
-                        "disables)")
-    args = parser.parse_args(argv)
-    if args.telemetry:
-        from repro import telemetry
-        from repro.telemetry import export as telemetry_export
-        from repro.telemetry import profiler as telemetry_profiler
-
-        telemetry.install(telemetry.TelemetrySession("crossover-report"))
-        try:
-            rc = main_traced(args)
-        finally:
-            session = telemetry.uninstall()
-            assert session is not None
-            paths = telemetry_export.write_artifacts(session,
-                                                     args.telemetry)
-            if args.hotspots:
-                profile = telemetry_profiler.profile_session(session)
-                print()
-                print(profile.hotspot_table(args.hotspots))
-            print(f"telemetry artifacts: {', '.join(sorted(paths.values()))}",
-                  file=sys.stderr)
-        return rc
-    return _dispatch(args)
-
-
 def main_traced(args) -> int:
     """The report body under an installed telemetry session: the whole
     run lives in one root span so every crossing has a home."""
@@ -293,11 +238,11 @@ def main_traced(args) -> int:
     session = telemetry.current()
     assert session is not None
     with session.tracer.span("crossover-report", category="report"):
-        return _dispatch(args)
+        return run(args)
 
 
-def _dispatch(args) -> int:
-    """Execute the parsed ``crossover-report`` request."""
+def run(args) -> int:
+    """Execute a parsed ``crossover report`` request."""
     if args.bench:
         from repro.analysis.bench import run_bench
 
@@ -335,6 +280,3 @@ def _dispatch(args) -> int:
     print(build_report(names))
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

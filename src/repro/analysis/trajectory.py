@@ -1,4 +1,4 @@
-"""``crossover-bench``: the perf-trajectory ledger and regression gate.
+"""``crossover bench``: the perf-trajectory ledger and regression gate.
 
 Every PR that touches performance leaves behind a ``BENCH_PR<n>.json``
 artifact, but each one has whatever shape that PR's harness produced.
@@ -12,9 +12,9 @@ direction awareness (wall seconds regress *up*, speedups regress
 
 Usage::
 
-    crossover-bench --record BENCH_PR3.json --label PR3
-    crossover-bench --compare bench-ci.json --against PR3 --threshold 0.5
-    crossover-bench --show
+    crossover bench --record BENCH_PR3.json --label PR3
+    crossover bench --compare bench-ci.json --against PR3 --threshold 0.5
+    crossover bench --show
 
 ``--compare`` is report-only by default (always exit 0, print the
 verdict table) so CI can surface regressions without blocking merges on
@@ -23,7 +23,6 @@ noisy runners; ``--strict`` turns regressions into exit code 1.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -394,44 +393,12 @@ def _show(trajectory: Dict[str, Any]) -> str:
 # CLI
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crossover-bench",
-        description="Record BENCH artifacts into the perf-trajectory "
-                    "ledger and gate fresh measurements against it.")
-    action = parser.add_mutually_exclusive_group(required=True)
-    action.add_argument("--record", metavar="BENCH.json",
-                        help="ingest a BENCH artifact into the ledger")
-    action.add_argument("--compare", metavar="BENCH.json",
-                        help="compare a BENCH artifact against a "
-                             "recorded baseline entry")
-    action.add_argument("--show", action="store_true",
-                        help="print the ledger as a table")
-    parser.add_argument("--trajectory", default="TRAJECTORY.json",
-                        metavar="FILE",
-                        help="ledger file (default: %(default)s)")
-    parser.add_argument("--label", default=None,
-                        help="entry label for --record (default: the "
-                             "BENCH filename stem)")
-    parser.add_argument("--against", default=None, metavar="LABEL",
-                        help="baseline entry for --compare (default: "
-                             "the latest recorded entry)")
-    parser.add_argument("--threshold", type=float, default=0.10,
-                        help="relative regression threshold "
-                             "(default: %(default)s)")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 1 on regression (default: report "
-                             "only, for noisy CI runners)")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-
+def run(args) -> int:
+    """Execute a parsed ``crossover bench`` request."""
     try:
         trajectory = load_trajectory(args.trajectory)
     except (ValueError, OSError, json.JSONDecodeError) as err:
-        print(f"crossover-bench: {err}", file=sys.stderr)
+        print(f"crossover bench: {err}", file=sys.stderr)
         return 2
 
     if args.show:
@@ -443,7 +410,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(bench_path) as fh:
             bench = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        print(f"crossover-bench: {bench_path}: {err}", file=sys.stderr)
+        print(f"crossover bench: {bench_path}: {err}", file=sys.stderr)
         return 2
 
     if args.record:
@@ -460,7 +427,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if baseline is None:
         who = (f"entry {args.against!r}" if args.against
                else "any entry")
-        print(f"crossover-bench: {args.trajectory} has no {who} to "
+        print(f"crossover bench: {args.trajectory} has no {who} to "
               f"compare against", file=sys.stderr)
         return 2
     current = extract_series(bench)
@@ -482,6 +449,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     print("no regressions")
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,9 +14,9 @@ The subsystem has five pieces:
 * :mod:`repro.audit.detectors` — pluggable anomaly detectors
   (:data:`DETECTORS`): forged WID, denial bursts, injection storms,
   crossing-pattern drift, chain breaks.
-* :mod:`repro.audit.workload` / :mod:`repro.audit.cli` — the
-  ``crossover-audit`` CLI (``record`` / ``verify`` / ``query`` /
-  ``graph``) and the deterministic ``crossover-audit/v1`` artifact.
+* :mod:`repro.audit.workload` — what ``crossover audit`` runs
+  (``record`` / ``verify`` / ``query`` / ``graph``) and the
+  deterministic ``crossover-audit/v1`` artifact.
 
 Like telemetry, the fast path, and fault injection, the recorder is a
 module-global switch that is *zero cost when disabled*: hot datapath

@@ -22,7 +22,6 @@ byte-identical at any worker count.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import audit
@@ -236,8 +235,38 @@ def verify_artifact(artifact: Dict[str, Any]) -> List[Dict[str, Any]]:
     return violations
 
 
-def write_artifact(artifact: Dict[str, Any], path: str) -> None:
-    """Serialize deterministically (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(artifact, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+
+def select_cells(artifact: Dict[str, Any], system: Optional[str] = None,
+                 variant: Optional[str] = None) -> List[Dict[str, Any]]:
+    """The artifact's cells, optionally narrowed to one system (case-
+    insensitive) and/or one variant."""
+    cells = artifact.get("cells", [])
+    if system is not None:
+        cells = [c for c in cells
+                 if c.get("system", "").lower() == system.lower()]
+    if variant is not None:
+        cells = [c for c in cells if c.get("variant") == variant]
+    return cells
+
+
+def query(artifact: Dict[str, Any], system: Optional[str] = None,
+          variant: Optional[str] = None, wid: Optional[int] = None,
+          fam: Optional[str] = None, kind: Optional[str] = None,
+          decision: Optional[str] = None) -> List[Dict[str, Any]]:
+    """Filter the flat record log; each match carries its ``cell``
+    (``system/variant``).  ``wid`` matches caller or callee."""
+    matches: List[Dict[str, Any]] = []
+    for cell in select_cells(artifact, system, variant):
+        where = f"{cell.get('system')}/{cell.get('variant')}"
+        for record in cell.get("log", {}).get("records", []):
+            if fam is not None and record.get("fam") != fam:
+                continue
+            if kind is not None and record.get("kind") != kind:
+                continue
+            if decision is not None and record.get("decision") != decision:
+                continue
+            if wid is not None and wid not in (
+                    record.get("caller_wid"), record.get("callee_wid")):
+                continue
+            matches.append({"cell": where, **record})
+    return matches

@@ -11,7 +11,7 @@ The subsystem has four pieces:
 * :mod:`repro.faults.campaign` — the campaign runner that replays case
   study operations under each plan and classifies the outcomes
   (``denied-cleanly`` / ``recovered`` / ``degraded-to-legacy`` /
-  ``invariant-violation``); ``crossover-faults`` is its CLI.
+  ``invariant-violation``); ``crossover faults`` runs it.
 
 Like telemetry and the fast path, injection is a module-global switch
 that is *zero cost when disabled*: hot datapath code guards every

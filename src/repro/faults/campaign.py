@@ -34,7 +34,6 @@ and plan produce a byte-identical artifact at any worker count.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import audit, faults, telemetry
@@ -554,9 +553,3 @@ def render_matrix(artifact: Dict[str, Any]) -> str:
             lines.append(f"  {site.ljust(width)}{flag}")
     return "\n".join(lines)
 
-
-def write_artifact(artifact: Dict[str, Any], path: str) -> None:
-    """Serialize deterministically (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(artifact, stream, indent=2, sort_keys=True)
-        stream.write("\n")

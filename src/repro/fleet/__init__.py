@@ -16,10 +16,10 @@ and replays millions of synthetic user requests against them:
 * :mod:`repro.fleet.traffic` — seeded open-loop arrivals (Poisson and
   bursty ON/OFF per tenant) against partitioned-OpenSSH and HyperShell
   tenant profiles;
-* :mod:`repro.fleet.campaign` / :mod:`repro.fleet.cli` — the
-  ``crossover-fleet`` campaign sweeping tenant count x mechanism into
-  a schema-validated ``crossover-fleet/v1`` artifact with throughput
-  and p50/p99/p999 latency curves.
+* :mod:`repro.fleet.campaign` — the ``crossover fleet`` campaign
+  sweeping tenant count x mechanism into a schema-validated
+  ``crossover-fleet/v1`` artifact with throughput and p50/p99/p999
+  latency curves.
 
 Unlike telemetry/faults/switchless this is **not** a module-global
 subsystem: it is a runner-layer engine like

@@ -1,11 +1,11 @@
-"""Seeded fleet campaign behind ``crossover-fleet``.
+"""Seeded fleet campaign behind ``crossover fleet``.
 
 Sweeps tenant count x mechanism over the sharded fleet, every cell a
 self-contained :data:`~repro.analysis.experiments.CELL_RUNNERS` entry
 (fresh calibration machine + fresh fleet per cell), so the campaign
 parallelizes over :func:`repro.analysis.parallel.run_cells` and the
 same seed produces a **byte-identical artifact at any pool worker
-count** — the determinism the CI smoke job ``cmp``'s.
+count** — the determinism CI ``cmp``'s.
 
 The artifact (``crossover-fleet/v1``) carries:
 
@@ -24,8 +24,8 @@ The artifact (``crossover-fleet/v1``) carries:
 
 The throughput claims compare at the *top* tenant count; with small
 sweeps that never reach baseline saturation, raise ``rate_scale``
-(heavier tenants) so the contrast still materializes — the CI smoke
-job runs 100 tenants at 8x rate for exactly this reason.
+(heavier tenants) so the contrast still materializes — the small test
+sweeps run at 8x rate or more for exactly this reason.
 """
 
 from __future__ import annotations
@@ -152,6 +152,47 @@ def _sweep_fields(value: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def normalize_counts(tenant_counts: Sequence[int]) -> Tuple[int, ...]:
+    """Sorted, de-duplicated tenant counts; rejects an empty or
+    non-positive sweep."""
+    counts = tuple(sorted(set(int(n) for n in tenant_counts)))
+    if not counts or counts[0] < 1:
+        raise ValueError("tenant counts must be positive")
+    return counts
+
+
+def sweep_specs(counts: Sequence[int], seed: int, horizon_ms: float,
+                churn_every: int, cores: int, rate_scale: float,
+                lane_mechanism: str,
+                extra: tuple = ()) -> List[Tuple[str, tuple]]:
+    """The ``fleetcell`` specs of one sweep: every (count, mechanism)
+    cell at one lane, then ``lane_mechanism`` at the smallest count
+    for every other :data:`INTERLEAVE_SWEEP` width (the 1-lane cell is
+    the main sweep's).  ``extra`` rides on every spec (the xray
+    sampling arguments)."""
+    common = (seed, horizon_ms)
+    tail = (churn_every, cores, rate_scale) + tuple(extra)
+    specs = [("fleetcell", (count, mechanism) + common + (1,) + tail)
+             for count in counts for mechanism in MECHANISMS]
+    specs.extend(("fleetcell", (counts[0], lane_mechanism) + common
+                  + (width,) + tail)
+                 for width in INTERLEAVE_SWEEP if width != 1)
+    return specs
+
+
+def run_sweep(specs: List[Tuple[str, tuple]], workers: Optional[int],
+              label: str) -> Tuple[List[Any], Dict[str, Any]]:
+    """Run the cells under one telemetry session; returns the cell
+    results (spec order) and the merged ``fleet.*`` counters."""
+    with telemetry.scoped(label) as session:
+        results = parallel.run_cells(specs, workers=workers)
+        counters = {
+            key: value
+            for key, value in session.metrics.snapshot()["counters"].items()
+            if key.startswith("fleet.")}
+    return results, counters
+
+
 def run_campaign(seed: int = 0,
                  tenant_counts: Sequence[int] = TENANT_SWEEP,
                  horizon_ms: float = DEFAULT_HORIZON_MS,
@@ -162,26 +203,11 @@ def run_campaign(seed: int = 0,
     """Run the full sweep and return the ``crossover-fleet/v1``
     artifact (plain data, ``json.dump``-ready, pool-worker
     independent)."""
-    counts = tuple(sorted(set(int(n) for n in tenant_counts)))
-    if not counts or counts[0] < 1:
-        raise ValueError("tenant counts must be positive")
-    specs: List[Tuple[str, tuple]] = []
-    for count in counts:
-        for mechanism in MECHANISMS:
-            specs.append(("fleetcell", (count, mechanism, seed, horizon_ms,
-                                        1, churn_every, cores, rate_scale)))
-    for width in INTERLEAVE_SWEEP:
-        if width != 1:   # the 1-lane cell is the main sweep's smallest
-            specs.append(("fleetcell", (counts[0], "world_call", seed,
-                                        horizon_ms, width, churn_every,
-                                        cores, rate_scale)))
-
-    with telemetry.scoped("fleet-campaign") as session:
-        results = parallel.run_cells(specs, workers=workers)
-        counters = {
-            key: value
-            for key, value in session.metrics.snapshot()["counters"].items()
-            if key.startswith("fleet.")}
+    counts = normalize_counts(tenant_counts)
+    results, counters = run_sweep(
+        sweep_specs(counts, seed, horizon_ms, churn_every, cores,
+                    rate_scale, "world_call"),
+        workers, "fleet-campaign")
 
     curves: Dict[str, List[Dict[str, Any]]] = {m: [] for m in MECHANISMS}
     cells: Dict[str, Dict[str, Any]] = {}
@@ -290,9 +316,3 @@ def render_summary(artifact: Dict[str, Any]) -> str:
         f"1/2/4-lane cycle-identical: {summary['interleave_identical']}")
     return "\n".join(lines)
 
-
-def write_artifact(artifact: Dict[str, Any], path: str) -> None:
-    """Serialize deterministically (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(artifact, stream, indent=2, sort_keys=True)
-        stream.write("\n")

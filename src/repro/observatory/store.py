@@ -18,7 +18,7 @@ Window semantics:
 * the final partial window is flushed at uninstall so the per-window
   deltas of every counter sum *exactly* to the end-of-run flat
   counters — :func:`crosscheck` verifies that invariant and the
-  ``crossover-top`` CLI exits nonzero when it fails.
+  ``crossover top`` exits nonzero when it fails.
 
 This module is a leaf: stdlib imports only (the percentile math is
 borrowed lazily from :mod:`repro.telemetry.registry` at export time).

@@ -12,7 +12,7 @@ The subsystem has four pieces:
   ``switchless`` from per-window call rate and ring occupancy.
 * :mod:`repro.switchless.campaign` — the seeded three-way evaluation
   campaign (baseline / world_call / switchless) behind the
-  ``crossover-switchless`` CLI.
+  ``crossover switchless`` subcommand.
 * the **dispatch seam** in ``core/call.py`` / ``core/crossvm.py`` —
   every call site accepts ``mechanism="baseline" | "world_call" |
   "switchless"``, and with no explicit choice the installed engine's

@@ -1,4 +1,4 @@
-"""Seeded switchless evaluation campaign behind ``crossover-switchless``.
+"""Seeded switchless evaluation campaign behind ``crossover switchless``.
 
 Three sections, each assembled from independent cells so the campaign
 parallelizes over :func:`repro.analysis.parallel.run_cells` and the
@@ -25,7 +25,6 @@ Modeled cycles only — no wall-clock enters any number.
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -308,9 +307,3 @@ def render_summary(artifact: Dict[str, Any]) -> str:
                  f"spin_budget={tuning['spin_budget']}")
     return "\n".join(lines)
 
-
-def write_artifact(artifact: Dict[str, Any], path: str) -> None:
-    """Serialize deterministically (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(artifact, stream, indent=2, sort_keys=True)
-        stream.write("\n")

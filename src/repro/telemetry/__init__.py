@@ -34,7 +34,8 @@ Sessions come in two shapes, selected by :class:`TelemetryConfig`:
 Exporters (Chrome trace-event JSON, the world-switch crossing matrix,
 the metrics snapshot) live in :mod:`repro.telemetry.export`; the
 cost-attribution profiler in :mod:`repro.telemetry.profiler`; the
-``crossover-trace`` CLI in :mod:`repro.telemetry.cli`.
+traced workload behind ``crossover trace`` in
+:mod:`repro.telemetry.workload`.
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ class TelemetrySession:
 
     def on_fleet_stats(self, stats: Dict[str, int]) -> None:
         """Absorb one fleet-scheduler run's totals at a quiescent point
-        — the ``crossover-fleet`` campaign cell calls this after its
+        — the ``crossover fleet`` campaign cell calls this after its
         event loop drains, mirroring :meth:`on_switchless_stats`."""
         for name, value in stats.items():
             if value:

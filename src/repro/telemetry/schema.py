@@ -1,6 +1,6 @@
 """A dependency-free validator for the telemetry artifact schemas.
 
-CI validates the JSON that ``crossover-trace`` emits against the
+CI validates the JSON that ``crossover trace`` emits against the
 checked-in schema (``telemetry.schema.json`` next to this module)
 without installing ``jsonschema``: this implements the small JSON
 Schema subset those schemas use — ``type`` (single or list),

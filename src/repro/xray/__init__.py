@@ -15,7 +15,7 @@ Two entry points:
 
 * the **fleet path** — :class:`~repro.xray.trace.XrayRecorder` passed
   into :class:`~repro.fleet.scheduler.FleetScheduler`; the
-  ``crossover-xray`` CLI (:mod:`repro.xray.cli`) sweeps it into a
+  ``crossover xray`` subcommand (:mod:`repro.xray.campaign`) sweeps it into a
   schema-validated ``crossover-xray/v1`` artifact;
 * the **single-machine path** — the process-global
   :class:`XraySession` below: when installed, ``core/call.py`` mints a

@@ -1,4 +1,4 @@
-"""Seeded x-ray campaign behind ``crossover-xray``.
+"""Seeded x-ray campaign behind ``crossover xray``.
 
 Reuses the fleet campaign's cell runner (``fleetcell``) with trace
 sampling switched on: every cell is a self-contained
@@ -34,20 +34,16 @@ The artifact (``crossover-xray/v1``) carries:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro import telemetry
-from repro.analysis import parallel
 from repro.fleet.campaign import (DEFAULT_CHURN_EVERY, DEFAULT_HORIZON_MS,
-                                  TENANT_SWEEP)
+                                  TENANT_SWEEP, normalize_counts, run_sweep,
+                                  sweep_specs)
 from repro.fleet.scheduler import DEFAULT_CORES, MECHANISMS
 from repro.xray.trace import (DEFAULT_KEEP, DEFAULT_SAMPLE_EVERY,
                               check_traces, is_sampled)
 
 SCHEMA = "crossover-xray/v1"
-
-#: Scheduler-lane widths swept for the trace-identity claim.
-LANE_SWEEP: Tuple[int, ...] = (1, 2, 4)
 
 
 def _lane_surface(value: Dict[str, Any]) -> Dict[str, Any]:
@@ -100,33 +96,16 @@ def run_campaign(seed: int = 0,
     """Run the traced sweep and return the ``crossover-xray/v1``
     artifact (plain data, ``json.dump``-ready, pool-worker and
     lane-width independent)."""
-    counts = tuple(sorted(set(int(n) for n in tenant_counts)))
-    if not counts or counts[0] < 1:
-        raise ValueError("tenant counts must be positive")
+    counts = normalize_counts(tenant_counts)
     if sample_every < 1 or keep < 1:
         raise ValueError("sample_every and keep must be >= 1")
-    specs: List[Tuple[str, tuple]] = []
-    for count in counts:
-        for mechanism in MECHANISMS:
-            specs.append(("fleetcell", (count, mechanism, seed, horizon_ms,
-                                        1, churn_every, cores, rate_scale,
-                                        sample_every, keep)))
     # The lane sweep runs the *baseline* (the mechanism with hv
     # contention and blame bookkeeping — the hardest surface to keep
     # batch-width independent) at the smallest count.
-    for width in LANE_SWEEP:
-        if width != 1:
-            specs.append(("fleetcell", (counts[0], "baseline", seed,
-                                        horizon_ms, width, churn_every,
-                                        cores, rate_scale,
-                                        sample_every, keep)))
-
-    with telemetry.scoped("xray-campaign") as session:
-        results = parallel.run_cells(specs, workers=workers)
-        counters = {
-            key: value
-            for key, value in session.metrics.snapshot()["counters"].items()
-            if key.startswith("fleet.")}
+    results, counters = run_sweep(
+        sweep_specs(counts, seed, horizon_ms, churn_every, cores,
+                    rate_scale, "baseline", (sample_every, keep)),
+        workers, "xray-campaign")
 
     cells: Dict[str, Dict[str, Any]] = {}
     lanes: Dict[str, Dict[str, Any]] = {}
@@ -215,8 +194,17 @@ def run_campaign(seed: int = 0,
     }
 
 
-def write_artifact(artifact: Dict[str, Any], path: str) -> None:
-    """Serialize deterministically (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(artifact, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+def verify_artifact(artifact: Dict[str, Any]) -> List[str]:
+    """The conservation crosscheck on a schema-valid artifact: every
+    kept trace's segments must sum to its end-to-end latency.  Returns
+    error strings (empty when clean)."""
+    errors = []
+    for key in sorted(artifact["cells"]):
+        verdict = check_traces(artifact["cells"][key]["xray"])
+        if not verdict["ok"]:
+            errors.append(
+                f"conservation violated in cell {key}: "
+                f"segments != latency for {verdict['mismatches']}")
+    if not errors and not artifact["conservation"]["ok"]:
+        errors.append("conservation rollup not ok")
+    return errors

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import report
+from repro.cli import main
 
 
 class TestSections:
@@ -39,7 +40,7 @@ class TestSections:
 
 class TestCLI:
     def test_quick_mode(self, capsys):
-        assert report.main(["--quick"]) == 0
+        assert main(["report", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "Table 3" in out
@@ -47,14 +48,14 @@ class TestCLI:
         assert "Table 5" not in out     # slow section skipped
 
     def test_single_section(self, capsys):
-        assert report.main(["--section", "table1"]) == 0
+        assert main(["report", "--section", "table1"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "Table 3" not in out
 
     def test_unknown_section_rejected(self):
         with pytest.raises(SystemExit):
-            report.main(["--section", "table99"])
+            main(["report", "--section", "table99"])
 
     def test_build_report_defaults_to_all_names(self):
         assert set(report.SECTIONS) >= set(report.QUICK_SECTIONS)
@@ -83,7 +84,7 @@ class TestFigure3:
 
 class TestMarkdown:
     def test_markdown_quick(self, capsys):
-        assert report.main(["--markdown", "--quick"]) == 0
+        assert main(["report", "--markdown", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "## Table 1" in out
         assert "## Table 7" in out

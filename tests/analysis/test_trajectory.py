@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.analysis import trajectory
+from repro.cli import main
 from repro.telemetry import schema
 
 
@@ -136,9 +137,9 @@ class TestCli:
 
     def test_record_then_compare_ok(self, files, capsys):
         bench, _, ledger = files
-        assert trajectory.main(["--record", bench, "--label", "PR1",
+        assert main(["bench", "--record", bench, "--label", "PR1",
                                 "--trajectory", ledger]) == 0
-        assert trajectory.main(["--compare", bench,
+        assert main(["bench", "--compare", bench,
                                 "--trajectory", ledger]) == 0
         assert "no regressions" in capsys.readouterr().out
         assert schema.validate(json.load(open(ledger)),
@@ -146,32 +147,32 @@ class TestCli:
 
     def test_regression_report_only_vs_strict(self, files, capsys):
         bench, slower, ledger = files
-        trajectory.main(["--record", bench, "--label", "PR1",
+        main(["bench", "--record", bench, "--label", "PR1",
                          "--trajectory", ledger])
         # report-only: verdict printed, exit 0 (CI stays green)
-        assert trajectory.main(["--compare", slower, "--against", "PR1",
+        assert main(["bench", "--compare", slower, "--against", "PR1",
                                 "--trajectory", ledger]) == 0
         captured = capsys.readouterr()
         assert "REGRESSED" in captured.out
         assert "report-only" in captured.err
         # strict: same comparison gates with exit 1
-        assert trajectory.main(["--compare", slower, "--against", "PR1",
+        assert main(["bench", "--compare", slower, "--against", "PR1",
                                 "--strict", "--trajectory", ledger]) == 1
 
     def test_missing_baseline_is_usage_error(self, files):
         bench, _, ledger = files
-        assert trajectory.main(["--compare", bench,
+        assert main(["bench", "--compare", bench,
                                 "--trajectory", ledger]) == 2
-        trajectory.main(["--record", bench, "--label", "PR1",
+        main(["bench", "--record", bench, "--label", "PR1",
                          "--trajectory", ledger])
-        assert trajectory.main(["--compare", bench, "--against", "PR9",
+        assert main(["bench", "--compare", bench, "--against", "PR9",
                                 "--trajectory", ledger]) == 2
 
     def test_show(self, files, capsys):
         bench, _, ledger = files
-        trajectory.main(["--record", bench, "--label", "PR1",
+        main(["bench", "--record", bench, "--label", "PR1",
                          "--trajectory", ledger])
-        assert trajectory.main(["--show", "--trajectory", ledger]) == 0
+        assert main(["bench", "--show", "--trajectory", ledger]) == 0
         out = capsys.readouterr().out
         assert "PR1" in out and "runs.sweep.wall_seconds" in out
 
@@ -185,7 +186,7 @@ class TestHistoricalArtifacts:
         assert "valid bench artifact" in capsys.readouterr().out
 
     def test_show_prints_pr6_entry(self, capsys):
-        assert trajectory.main(["--show",
+        assert main(["bench", "--show",
                                 "--trajectory", "TRAJECTORY.json"]) == 0
         lines = capsys.readouterr().out.splitlines()
         column = lines[0].split().index("PR6")

@@ -1,16 +1,17 @@
-"""crossover-audit CLI: record/verify/query/graph and exit codes."""
+"""crossover audit: record/verify/query/graph and exit codes."""
 
 import json
 
 import pytest
 
-from repro.audit import cli, workload
+from repro.audit import workload
+from repro.cli import main
 
 
 @pytest.fixture(scope="module")
 def artifact_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("audit") / "AUDIT.json"
-    code = cli.main(["record", "--out", str(path), "--systems", "Proxos",
+    code = main(["audit", "record", "--out", str(path), "--systems", "Proxos",
                      "--calls", "2", "--workers", "1", "--quiet"])
     assert code == 0
     return path
@@ -23,14 +24,14 @@ class TestRecord:
         assert artifact["summary"]["crosscheck_ok"]
 
     def test_unknown_system_is_usage_error(self, tmp_path):
-        code = cli.main(["record", "--out", str(tmp_path / "x.json"),
+        code = main(["audit", "record", "--out", str(tmp_path / "x.json"),
                          "--systems", "NotASystem", "--quiet"])
         assert code == 2
 
 
 class TestVerify:
     def test_clean_artifact_exits_zero(self, artifact_path, capsys):
-        assert cli.main(["verify", str(artifact_path)]) == 0
+        assert main(["audit", "verify", str(artifact_path)]) == 0
         assert "chain intact" in capsys.readouterr().out
 
     def test_tampered_artifact_exits_one_with_seq(self, artifact_path,
@@ -39,7 +40,7 @@ class TestVerify:
         artifact["cells"][0]["log"]["records"][3]["detail"] = "evil"
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(artifact))
-        assert cli.main(["verify", str(bad)]) == 1
+        assert main(["audit", "verify", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "seq 3" in err
 
@@ -50,7 +51,7 @@ class TestVerify:
             artifact["cells"][0]["log"]["records"][:-2]
         bad = tmp_path / "truncated.json"
         bad.write_text(json.dumps(artifact))
-        assert cli.main(["verify", str(bad)]) == 1
+        assert main(["audit", "verify", str(bad)]) == 1
 
     def test_reordered_artifact_exits_one(self, artifact_path,
                                           tmp_path):
@@ -59,20 +60,20 @@ class TestVerify:
         records[1], records[2] = records[2], records[1]
         bad = tmp_path / "reordered.json"
         bad.write_text(json.dumps(artifact))
-        assert cli.main(["verify", str(bad)]) == 1
+        assert main(["audit", "verify", str(bad)]) == 1
 
     def test_wrong_schema_exits_one(self, tmp_path):
         other = tmp_path / "other.json"
         other.write_text(json.dumps({"schema": "something-else"}))
-        assert cli.main(["verify", str(other)]) == 1
+        assert main(["audit", "verify", str(other)]) == 1
 
     def test_missing_file_is_usage_error(self):
-        assert cli.main(["verify", "/nonexistent/AUDIT.json"]) == 2
+        assert main(["audit", "verify", "/nonexistent/AUDIT.json"]) == 2
 
 
 class TestQuery:
     def test_filters_by_kind(self, artifact_path, capsys):
-        assert cli.main(["query", str(artifact_path), "--kind",
+        assert main(["audit", "query", str(artifact_path), "--kind",
                          "redirect_begin"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines
@@ -80,13 +81,13 @@ class TestQuery:
             assert json.loads(line)["kind"] == "redirect_begin"
 
     def test_count_mode(self, artifact_path, capsys):
-        assert cli.main(["query", str(artifact_path), "--fam", "sys",
+        assert main(["audit", "query", str(artifact_path), "--fam", "sys",
                          "--count"]) == 0
         count = int(capsys.readouterr().out.strip())
         assert count > 0
 
     def test_variant_filter(self, artifact_path, capsys):
-        assert cli.main(["query", str(artifact_path), "--variant",
+        assert main(["audit", "query", str(artifact_path), "--variant",
                          "optimized", "--fam", "core", "--kind",
                          "crossvm_begin"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -97,18 +98,18 @@ class TestQuery:
 
 class TestGraph:
     def test_dot_output(self, artifact_path, capsys):
-        assert cli.main(["graph", str(artifact_path), "--variant",
+        assert main(["audit", "graph", str(artifact_path), "--variant",
                          "original"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("digraph audit {")
         assert "->" in out
 
     def test_json_output(self, artifact_path, capsys):
-        assert cli.main(["graph", str(artifact_path), "--format",
+        assert main(["audit", "graph", str(artifact_path), "--format",
                          "json"]) == 0
         built = json.loads(capsys.readouterr().out)
         assert set(built) == {"nodes", "edges", "forest"}
 
     def test_empty_selection_is_usage_error(self, artifact_path):
-        assert cli.main(["graph", str(artifact_path), "--system",
+        assert main(["audit", "graph", str(artifact_path), "--system",
                          "Tahoma"]) == 2

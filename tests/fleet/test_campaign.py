@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.fleet import campaign, cli
+from repro.cli import main
+from repro.fleet import campaign
 
 # Small but *saturating* sweep: 12 tenants at 80x rate offer ~1M
 # world-call transitions per modeled second, ~2x the serialized
@@ -96,16 +97,16 @@ class TestCampaign:
 
 class TestCli:
     def test_usage_errors_exit_2(self, capsys):
-        assert cli.main(["--tenants", "abc"]) == 2
-        assert cli.main(["--tenants", "0,5"]) == 2
-        assert cli.main(["--horizon-ms", "0"]) == 2
-        assert cli.main(["--rate-scale", "-1"]) == 2
-        assert cli.main(["--slo", "not an objective"]) == 2
+        assert main(["fleet", "--tenants", "abc"]) == 2
+        assert main(["fleet", "--tenants", "0,5"]) == 2
+        assert main(["fleet", "--horizon-ms", "0"]) == 2
+        assert main(["fleet", "--rate-scale", "-1"]) == 2
+        assert main(["fleet", "--slo", "not an objective"]) == 2
         capsys.readouterr()
 
     def test_full_run_writes_valid_artifact(self, tmp_path, capsys):
         out = tmp_path / "FLEET.json"
-        code = cli.main(["--tenants", "4,12", "--horizon-ms", "2",
+        code = main(["fleet", "--tenants", "4,12", "--horizon-ms", "2",
                          "--rate-scale", "80", "--churn-every", "50",
                          "--workers", "1", "--out", str(out),
                          # violated objective, but lenient without
@@ -124,7 +125,7 @@ class TestCli:
     def test_strict_slo_trip_exits_1(self, capsys):
         # 12 tenants at 80x keeps every summary claim green, so the
         # nonzero exit below is attributable to the SLO alone.
-        code = cli.main(["--tenants", "12", "--horizon-ms", "2",
+        code = main(["fleet", "--tenants", "12", "--horizon-ms", "2",
                          "--rate-scale", "80", "--churn-every", "0",
                          "--workers", "1", "--quiet", "--strict",
                          "--slo", "fleet.latency.cycles.p99 < 1"])

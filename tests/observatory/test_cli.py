@@ -1,17 +1,18 @@
-"""End-to-end tests for the ``crossover-top`` CLI."""
+"""End-to-end tests for ``crossover top``."""
 
 import json
 
 import pytest
 
-from repro.observatory import cli
+from repro.cli import main
+from repro.observatory import campaign
 
 
 @pytest.fixture
 def demo_artifact(tmp_path):
     """One small recording, written to disk and returned as a dict."""
     out = tmp_path / "obs.json"
-    code = cli.main(["--demo", "--iterations", "1", "--quiet",
+    code = main(["top", "--demo", "--iterations", "1", "--quiet",
                      "--out", str(out)])
     assert code == 0
     with open(out) as fh:
@@ -21,7 +22,7 @@ def demo_artifact(tmp_path):
 class TestRecord:
     def test_demo_artifact_shape(self, demo_artifact):
         _, artifact = demo_artifact
-        assert artifact["schema"] == cli.SCHEMA
+        assert artifact["schema"] == campaign.SCHEMA
         assert artifact["summary"]["crosscheck_ok"]
         runners = [cell["runner"] for cell in artifact["cells"]]
         assert runners == ["table4", "switchlesscell"]
@@ -51,23 +52,23 @@ class TestRecord:
 class TestLoadAndGate:
     def test_load_renders_and_exits_zero(self, demo_artifact, capsys):
         path, _ = demo_artifact
-        assert cli.main(["--load", str(path)]) == 0
+        assert main(["top", "--load", str(path)]) == 0
         out = capsys.readouterr().out
         assert "crosscheck ok" in out
 
     def test_passing_slo_report_only(self, demo_artifact):
         path, _ = demo_artifact
-        assert cli.main(["--load", str(path), "--quiet", "--slo",
+        assert main(["top", "--load", str(path), "--quiet", "--slo",
                          "world_call.cycles.p99 < 100000"]) == 0
 
     def test_tripping_slo_is_report_only_by_default(self, demo_artifact):
         path, _ = demo_artifact
-        assert cli.main(["--load", str(path), "--quiet", "--slo",
+        assert main(["top", "--load", str(path), "--quiet", "--slo",
                          "world_call.cycles.p99 < 1"]) == 0
 
     def test_tripping_slo_under_strict_exits_one(self, demo_artifact):
         path, _ = demo_artifact
-        assert cli.main(["--load", str(path), "--quiet", "--strict",
+        assert main(["top", "--load", str(path), "--quiet", "--strict",
                          "--slo", "world_call.cycles.p99 < 1"]) == 1
 
     def test_tampered_artifact_fails_crosscheck_with_exit_3(
@@ -83,14 +84,31 @@ class TestLoadAndGate:
         tampered = tmp_path / "tampered.json"
         with open(tampered, "w") as fh:
             json.dump(artifact, fh)
-        assert cli.main(["--load", str(tampered), "--quiet"]) == 3
+        assert main(["top", "--load", str(tampered), "--quiet"]) == 3
         assert "crosscheck mismatch" in capsys.readouterr().err
+
+    def test_tampered_total_alone_fails_crosscheck_with_exit_3(
+            self, demo_artifact, tmp_path, capsys):
+        """The stored crosscheck verdict and summary flag are left
+        saying ok: --load must recompute them from the windows."""
+        path, artifact = demo_artifact
+        cell = artifact["cells"][0]
+        counter = next(iter(cell["totals"]))
+        cell["totals"][counter] += 7
+        assert cell["crosscheck"]["ok"]
+        assert artifact["summary"]["crosscheck_ok"]
+        tampered = tmp_path / "tampered-total.json"
+        with open(tampered, "w") as fh:
+            json.dump(artifact, fh)
+        assert main(["top", "--load", str(tampered), "--quiet"]) == 3
+        assert f"crosscheck mismatch in {cell['runner']}" \
+            in capsys.readouterr().err
 
     def test_exports_html_and_openmetrics(self, demo_artifact, tmp_path):
         path, _ = demo_artifact
         html = tmp_path / "dash.html"
         om = tmp_path / "totals.om"
-        assert cli.main(["--load", str(path), "--quiet",
+        assert main(["top", "--load", str(path), "--quiet",
                          "--html", str(html),
                          "--openmetrics", str(om)]) == 0
         assert "<svg" in html.read_text()
@@ -102,14 +120,14 @@ class TestLoadAndGate:
 
 class TestUsage:
     def test_nothing_to_do_is_usage_error(self, capsys):
-        assert cli.main([]) == 2
+        assert main(["top"]) == 2
         assert "nothing to do" in capsys.readouterr().err
 
     def test_bad_slo_is_usage_error(self, capsys):
-        assert cli.main(["--demo", "--slo", "nonsense"]) == 2
+        assert main(["top", "--demo", "--slo", "nonsense"]) == 2
 
     def test_bad_window_is_usage_error(self):
-        assert cli.main(["--demo", "--window", "0"]) == 2
+        assert main(["top", "--demo", "--window", "0"]) == 2
 
     def test_bad_workers_is_usage_error(self):
-        assert cli.main(["--demo", "--workers", "0"]) == 2
+        assert main(["top", "--demo", "--workers", "0"]) == 2

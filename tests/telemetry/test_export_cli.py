@@ -1,4 +1,4 @@
-"""Exporters, schema self-validation, and the crossover-trace CLI."""
+"""Exporters, schema self-validation, and ``crossover trace``."""
 
 import json
 import os
@@ -7,13 +7,14 @@ import pytest
 
 from repro import telemetry
 from repro.analysis import experiments
-from repro.telemetry import cli, export, schema
+from repro.cli import main
+from repro.telemetry import export, schema, workload
 
 
 @pytest.fixture(scope="module")
 def proxos_run():
     """One traced Proxos-original run shared by the export tests."""
-    return cli.trace_system("Proxos", optimized=False, calls=2)
+    return workload.trace_system("Proxos", optimized=False, calls=2)
 
 
 class TestChromeTrace:
@@ -75,7 +76,7 @@ class TestSchemaValidator:
 
 class TestCli:
     def test_quick_mode_validates_itself(self, tmp_path, capsys):
-        rc = cli.main(["--quick", "--out", str(tmp_path)])
+        rc = main(["trace", "--quick", "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "all artifacts valid" in out
@@ -95,7 +96,7 @@ class TestCli:
         measurement for Proxos and HyperShell."""
         figure2 = experiments.run_figure2()
         for name in ("Proxos", "HyperShell"):
-            _, row = cli.trace_system(name, optimized=False, calls=2)
+            _, row = workload.trace_system(name, optimized=False, calls=2)
             assert row["crossings_per_call"] == figure2[name]["crossings"]
             assert row["span_crossings_consistent"] is True
             assert row["paper_crossings"] \
@@ -109,14 +110,14 @@ class TestCli:
         from repro.analysis import calibration
 
         monkeypatch.setitem(calibration.FIGURE2_CROSSINGS, "Proxos", 999)
-        rc = cli.main(["--quick", "--out", str(tmp_path)])
+        rc = main(["trace", "--quick", "--out", str(tmp_path)])
         assert rc == 1
         captured = capsys.readouterr()
         assert "MISMATCH" in captured.out
         assert "cross-check failed" in captured.err
 
     def test_profile_flag_prints_hotspots(self, tmp_path, capsys):
-        rc = cli.main(["--quick", "--profile", "--hotspots", "3",
+        rc = main(["trace", "--quick", "--profile", "--hotspots", "3",
                        "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -125,9 +126,9 @@ class TestCli:
         assert (tmp_path / "proxos_original.speedscope.json").exists()
 
     def test_optimized_variant_crosses_less(self):
-        _, orig = cli.trace_system("ShadowContext", optimized=False,
+        _, orig = workload.trace_system("ShadowContext", optimized=False,
                                    calls=1)
-        _, opt = cli.trace_system("ShadowContext", optimized=True,
+        _, opt = workload.trace_system("ShadowContext", optimized=True,
                                   calls=1)
         assert opt["crossings_per_call"] < orig["crossings_per_call"]
 

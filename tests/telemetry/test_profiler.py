@@ -6,7 +6,7 @@ import pytest
 
 from repro import telemetry
 from repro.analysis import experiments, parallel
-from repro.telemetry import cli, profiler
+from repro.telemetry import profiler, workload
 from repro.telemetry.spans import SpanRing
 
 
@@ -56,7 +56,7 @@ class TestDeterminism:
 class TestAttribution:
     @pytest.fixture(scope="class")
     def proxos_profile(self):
-        session, _ = cli.trace_system("Proxos", optimized=False, calls=3)
+        session, _ = workload.trace_system("Proxos", optimized=False, calls=3)
         return session, profiler.profile_session(session)
 
     def test_stack_steps_labels_applied(self, proxos_profile):
@@ -108,7 +108,7 @@ class TestAttribution:
 class TestExports:
     @pytest.fixture(scope="class")
     def profile(self):
-        session, _ = cli.trace_system("HyperShell", optimized=False,
+        session, _ = workload.trace_system("HyperShell", optimized=False,
                                       calls=2)
         return profiler.profile_session(session)
 

@@ -356,6 +356,6 @@ class TestFleetSurface:
         assert results[0].value["tenants"] == 2
 
     def test_cli_entry_points_exposed(self):
-        from repro.fleet.cli import build_parser, main
+        from repro.cli import build_parser, main
         assert callable(main)
-        assert build_parser().prog == "crossover-fleet"
+        assert build_parser().prog == "crossover"
