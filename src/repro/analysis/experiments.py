@@ -478,22 +478,22 @@ def _mechanism_engine(mechanism: str, workers: int):
     """The switchless-engine state one comparison cell runs under:
     a force-mode engine for ``"switchless"``, *no* engine for the
     control columns (so an outer adaptive engine cannot divert them).
-    Returns ``(engine_or_None, previous_global)``; the caller restores
-    ``repro.switchless._engine`` to the previous value afterwards."""
-    from repro import switchless as _sl
+    Returns ``(engine_or_None, previous_engine)``; the caller
+    reinstalls the previous engine afterwards."""
+    from repro import hooks as _hooks
 
     if mechanism not in MECHANISMS:
         raise ConfigurationError(
             f"unknown mechanism {mechanism!r}; expected one of "
             f"{MECHANISMS}")
-    previous = _sl._engine
+    previous = _hooks.current("switchless")
     engine = None
     if mechanism == "switchless":
         from repro.switchless import SwitchlessConfig, SwitchlessEngine
 
         engine = SwitchlessEngine(SwitchlessConfig(mode="force",
                                                    workers=workers))
-    _sl._engine = engine
+    _hooks.install("switchless", engine)
     return engine, previous
 
 
@@ -516,7 +516,7 @@ def mechanism_cell(table: str, mechanism: str, arg: Any,
     with ``workers`` worker contexts.  Module-level and picklable, so
     the parallel runner can ship it to a worker process.
     """
-    from repro import switchless as _sl
+    from repro import hooks as _hooks
 
     engine, previous = _mechanism_engine(mechanism, workers)
     try:
@@ -549,7 +549,7 @@ def mechanism_cell(table: str, mechanism: str, arg: Any,
                                   "tuning": engine.tuning()}
         return cell
     finally:
-        _sl._engine = previous
+        _hooks.install("switchless", previous)
 
 
 def mechanism_specs(iterations: int = 5,

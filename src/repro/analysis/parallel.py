@@ -15,15 +15,14 @@ each cell's host wall-clock is recorded for the BENCH artifacts.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import observatory as _observatory
-from repro import switchless as _switchless
-from repro import telemetry
+from repro import hooks
 from repro.analysis import experiments
 
 #: A unit of work: (runner name in CELL_RUNNERS, positional args).
@@ -34,10 +33,10 @@ CellSpec = Tuple[str, tuple]
 class CellResult:
     """One executed cell: its spec, value, and host-side timing.
 
-    When the sweep runs under a telemetry session, ``telemetry`` carries
-    the cell's own session (spans + metrics) in plain-dict form — the
-    same shape whether the cell ran in-process or in a worker — so the
-    parent can merge every cell's observability into one trace.
+    ``payloads`` maps each installed subscriber's kind to what the
+    cell's spawned subscriber harvested (see :mod:`repro.hooks`) — the
+    same plain data whether the cell ran in-process or in a worker, so
+    the parent merges every cell the same way.
     """
 
     runner: str
@@ -45,9 +44,7 @@ class CellResult:
     value: Any
     wall_seconds: float
     worker_pid: int
-    telemetry: Optional[Dict[str, Any]] = field(default=None, repr=False)
-    switchless: Optional[Dict[str, int]] = field(default=None, repr=False)
-    observatory: Optional[Dict[str, Any]] = field(default=None, repr=False)
+    payloads: Dict[str, Any] = field(default_factory=dict, repr=False)
 
 
 def default_workers() -> int:
@@ -62,130 +59,58 @@ def default_workers() -> int:
 def _execute_cell(spec: CellSpec) -> CellResult:
     """Run one cell (in whatever process this lands in).
 
-    If a telemetry session is installed (inherited across ``fork`` in
-    pool workers), the cell runs under its *own* scoped session wrapped
-    in one ``cell:`` span, and ships that session back serialized — the
-    in-process and pooled paths produce the same merged telemetry.
+    Every installed subscriber (inherited across ``fork`` in pool
+    workers) spawns the cell its own subscriber, installed in
+    :data:`repro.hooks.ORDER` — so each one's baseline is the cell's
+    fresh state — and harvested in reverse order while the others are
+    still installed.  The cell's observable outcome then depends only
+    on its own modeled activity: identical at any worker count.
     """
     runner, args = spec
-    cell_telemetry: Optional[Dict[str, Any]] = None
-    cell_switchless: Optional[Dict[str, int]] = None
-    cell_observatory: Optional[Dict[str, Any]] = None
-
-    # With an observatory installed, the cell records into its own
-    # spawned (same-config, zero-clock) observatory — scoped INSIDE the
-    # cell's telemetry session so the window baseline is the fresh
-    # session's zeros and the cell's windows depend only on its own
-    # modeled activity.  The payload ships back like the telemetry dict
-    # and the parent absorbs them in spec order: byte-identical at any
-    # worker count.
-    def _invoke() -> Any:
-        nonlocal cell_observatory
-        if runner not in experiments.CELL_RUNNERS and \
-                runner.startswith("fleet"):
-            # Fleet cells register lazily (the fleet package is not on
-            # the default import path of the experiment tables).
-            import repro.fleet.campaign  # noqa: F401  (registers)
-        parent_obs = _observatory.current()
-        if parent_obs is None:
-            return experiments.CELL_RUNNERS[runner](*args)
-        with _observatory.scoped(parent_obs.spawn()) as obs:
-            value = experiments.CELL_RUNNERS[runner](*args)
-        cell_observatory = obs.to_dict()
-        return value
-
+    if runner not in experiments.CELL_RUNNERS and runner.startswith("fleet"):
+        # Fleet cells register lazily (the fleet package is not on the
+        # default import path of the experiment tables).
+        import repro.fleet.campaign  # noqa: F401  (registers)
     t0 = time.perf_counter()
-    # With a switchless engine installed, every cell gets a clone (same
-    # config, fresh counters/policy/rings) that sees only the cell's own
-    # call stream, so flips and tuner moves — and the spec-order merge
-    # of the counters — are identical at any worker count.
-    if _switchless.enabled():
-        installed_sl = _switchless.current()
-        assert installed_sl is not None
-        sl_ctx = _switchless.scoped(installed_sl.clone())
-    else:
-        sl_ctx = None
-    sl_engine = sl_ctx.__enter__() if sl_ctx is not None else None
-    try:
-        if telemetry.enabled():
-            with telemetry.scoped(f"cell:{runner}") as session:
-                with session.tracer.span(f"cell:{runner}", category="cell",
-                                         runner=runner, args=repr(args)):
-                    value = _invoke()
-            cell_telemetry = session.to_dict()
-        else:
-            value = _invoke()
-    finally:
-        if sl_ctx is not None:
-            cell_switchless = sl_engine.stats.to_dict()
-            sl_ctx.__exit__(None, None, None)
+    with contextlib.ExitStack() as stack:
+        spawned = []
+        for kind, parent in hooks.installed():
+            child = stack.enter_context(
+                hooks.scoped(kind, parent.spawn(runner, args)))
+            spawned.append((kind, child))
+        value = experiments.CELL_RUNNERS[runner](*args)
+        payloads = {}
+        for kind, child in reversed(spawned):
+            payload = child.harvest()
+            if payload is not None:
+                payloads[kind] = payload
     return CellResult(runner=runner, args=args, value=value,
                       wall_seconds=time.perf_counter() - t0,
-                      worker_pid=os.getpid(), telemetry=cell_telemetry,
-                      switchless=cell_switchless,
-                      observatory=cell_observatory)
-
-
-def _merge_cell_telemetry(cells: List[CellResult]) -> None:
-    """Absorb each cell's shipped-back session into the parent session
-    (per-worker span trees keep their worker pid in the Chrome export)."""
-    session = telemetry.current()
-    if session is None:
-        return
-    own_pid = os.getpid()
-    for cell in cells:
-        if cell.telemetry is None:
-            continue
-        session.absorb(cell.telemetry,
-                       pid=cell.worker_pid if cell.worker_pid != own_pid
-                       else None)
-
-
-def _merge_cell_switchless(cells: List[CellResult]) -> None:
-    """Fold each cell's switchless counters into the parent engine.
-
-    Cells are visited in spec order and addition is the only combine
-    step, so the merged totals are byte-identical at any worker count.
-    A parent telemetry session absorbs the same harvest as
-    ``switchless.*`` counters.
-    """
-    engine = _switchless.current()
-    if engine is None:
-        return
-    session = telemetry.current()
-    for cell in cells:
-        if cell.switchless is not None:
-            engine.stats.merge(cell.switchless)
-            if session is not None:
-                session.on_switchless_stats(cell.switchless)
-
-
-def _merge_cell_observatory(cells: List[CellResult]) -> None:
-    """Hand each cell's windowed payload to the parent observatory.
-
-    Cells are absorbed in spec order and kept per-cell (each cell has
-    its own zero-based clock), so the parent's ``cells`` list — and
-    any artifact built from it — is byte-identical at any worker count.
-    """
-    parent = _observatory.current()
-    if parent is None:
-        return
-    for cell in cells:
-        if cell.observatory is not None:
-            parent.absorb_cell(cell.observatory, cell.runner, cell.args)
+                      worker_pid=os.getpid(), payloads=payloads)
 
 
 def run_cells(specs: List[CellSpec], workers: Optional[int] = None
               ) -> List[CellResult]:
     """Execute cells, in parallel when it can help.
 
-    Results come back in spec order regardless of completion order, so
-    merge functions see the same sequence the serial runners produce.
+    Results come back in spec order regardless of completion order, and
+    each installed subscriber absorbs the cells' payloads in that order,
+    so the merge sees the sequence the serial runners produce.  A
+    subscriber that cannot be merged (``in_process``) keeps every cell
+    in this process.
     """
+    parents = hooks.installed()
+    if any(parent.in_process for _, parent in parents):
+        workers = 1
     cells = _run_cells_raw(specs, workers)
-    _merge_cell_telemetry(cells)
-    _merge_cell_switchless(cells)
-    _merge_cell_observatory(cells)
+    own_pid = os.getpid()
+    for kind, parent in parents:
+        for cell in cells:
+            payload = cell.payloads.get(kind)
+            if payload is not None:
+                parent.absorb(payload, cell.runner, cell.args,
+                              cell.worker_pid if cell.worker_pid != own_pid
+                              else None)
     return cells
 
 
@@ -278,28 +203,9 @@ def run_sweep(tables: Tuple[str, ...] = ("table4", "table5", "table6",
                    "worker_pid": c.worker_pid} for c in cells],
         "wall_seconds": total,
     }
-    if _switchless.enabled():
-        installed_sl = _switchless.current()
-        assert installed_sl is not None
-        merged_sl = _switchless.SwitchlessStats()
-        per_cell_sl = []
-        for c in cells:
-            stats = c.switchless or \
-                {name: 0 for name in _switchless.STAT_FIELDS}
-            merged_sl.merge(stats)
-            per_cell_sl.append({"runner": c.runner, "args": list(c.args),
-                                "stats": stats})
-        sweep["switchless"] = {"totals": merged_sl.to_dict(),
-                               "tuning": installed_sl.tuning(),
-                               "cells": per_cell_sl}
-    if _observatory.enabled():
-        parent = _observatory.current()
-        assert parent is not None
-        sweep["observatory"] = {
-            "window_cycles": parent.config.window_cycles,
-            "cells": [{"runner": cell["runner"], "args": cell["args"],
-                       "windows": len(cell.get("windows", [])),
-                       "events": len(cell.get("events", []))}
-                      for cell in parent.cells],
-        }
+    for kind, parent in hooks.installed():
+        summary = parent.summarize([(c.runner, c.args, c.payloads.get(kind))
+                                    for c in cells])
+        if summary is not None:
+            sweep[kind] = summary
     return sweep

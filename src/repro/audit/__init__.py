@@ -18,16 +18,14 @@ The subsystem has five pieces:
   (``record`` / ``verify`` / ``query`` / ``graph``) and the
   deterministic ``crossover-audit/v1`` artifact.
 
-Like telemetry, the fast path, and fault injection, the recorder is a
-module-global switch that is *zero cost when disabled*: hot datapath
-code guards every hookpoint with ``if _audit._recorder is not None``
-and the default is ``None``.
+The recorder is a :mod:`repro.hooks` subscriber (kind ``audit``): its
+``on_*`` methods receive the bus events, so with no recorder installed
+a hookpoint costs one read of an empty callback tuple.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from repro import hooks as _hooks
 
 from .chain import require_chain, verify_chain
 from .detectors import DETECTORS, run_detectors
@@ -48,37 +46,5 @@ __all__ = [
     "verify_chain",
 ]
 
-#: The installed recorder; ``None`` means auditing is off everywhere.
-_recorder: Optional[FlightRecorder] = None
-
-
-def install(recorder: FlightRecorder) -> FlightRecorder:
-    """Install ``recorder`` as the process-wide flight recorder."""
-    global _recorder
-    _recorder = recorder
-    return recorder
-
-
-def uninstall() -> None:
-    global _recorder
-    _recorder = None
-
-
-def enabled() -> bool:
-    return _recorder is not None
-
-
-def current() -> Optional[FlightRecorder]:
-    return _recorder
-
-
-@contextmanager
-def scoped(recorder: FlightRecorder) -> Iterator[FlightRecorder]:
-    """Install ``recorder`` for the duration of a with-block (nest-safe)."""
-    global _recorder
-    previous = _recorder
-    _recorder = recorder
-    try:
-        yield recorder
-    finally:
-        _recorder = previous
+install, uninstall, current, enabled, scoped = _hooks.bind(
+    "audit", FlightRecorder)

@@ -1,7 +1,7 @@
 """The flight recorder: bounded, hash-chained world-call audit log.
 
-One :class:`FlightRecorder` is installed as a module global (see
-:mod:`repro.audit`); datapath hookpoints call its ``on_*`` methods.
+One :class:`FlightRecorder` is installed on the hook bus (see
+:mod:`repro.hooks`); its ``on_*`` methods are the bus callbacks.
 Every method appends one structured record with a fixed field set:
 
 ``seq``         recorder-local sequence number (0-based, contiguous)
@@ -39,9 +39,12 @@ retained ``seq`` are declared in the exported log, and the retained
 window remains verifiable link by link.
 
 Zero cost when disabled: nothing here runs unless a recorder is
-installed; hookpoints guard with one module attribute read + None
-test, the same discipline :mod:`repro.telemetry` and
-:mod:`repro.faults` use.
+installed; a hookpoint reads one empty callback tuple.
+
+Cells: a recorder installed over :func:`repro.analysis.parallel.run_cells`
+spawns a fresh recorder per cell (epochs relative to the cell's start)
+and absorbs the cells' records in spec order, re-sequenced and
+re-chained, so the merged log is the same at any worker count.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional
 
+from repro import hooks as _hooks
 from repro.audit import chain as _chain
 
 #: Fixed record field order (documentation + schema + tests).
@@ -76,7 +80,7 @@ class AuditConfig:
     transitions: bool = True
 
 
-class FlightRecorder:
+class FlightRecorder(_hooks.Subscriber):
     """Append-only (ring-bounded) hash-chained audit log."""
 
     def __init__(self, label: str = "audit",
@@ -127,6 +131,16 @@ class FlightRecorder:
             "detail": detail,
             "cycles": cycles,
         }
+        self._append(record)
+        if decision == "deny":
+            for fn in _hooks.audit_anomaly:
+                fn(f"{fam}.{kind}", detail or frm)
+        return record
+
+    def _append(self, record: Dict[str, Any]) -> None:
+        """Sequence, chain and retain ``record`` (all fields but
+        ``seq`` and ``hash`` already set)."""
+        record["seq"] = self._seq
         record["hash"] = _chain.link(self._prev_hash, record,
                                      self.config.algo)
         self._prev_hash = record["hash"]
@@ -135,13 +149,8 @@ class FlightRecorder:
         if len(self._records) > self.config.capacity:
             self._records.popleft()
             self._dropped += 1
-        if decision == "deny":
+        if record["decision"] == "deny":
             self.denials += 1
-            from repro import observatory as _observatory
-            obs = _observatory._session
-            if obs is not None:
-                obs.on_audit_anomaly(f"{fam}.{kind}", detail or frm)
-        return record
 
     def stats(self) -> Dict[str, int]:
         """Monotonic counters for the observatory's windowed sampling."""
@@ -152,12 +161,11 @@ class FlightRecorder:
     # hookpoints (hw layer)
     # ------------------------------------------------------------------
 
-    def on_transition(self, kind: str, frm: str, to: str, detail: str,
-                      cycles: int) -> None:
-        """One transition-trace event (the telemetry-observer seam)."""
+    def on_transition(self, event) -> None:
+        """One :class:`~repro.hw.trace.TransitionEvent` was recorded."""
         if self.config.transitions:
-            self._emit("trace", kind, frm=frm, to=to, detail=detail,
-                       cycles=cycles)
+            self._emit("trace", event.kind, frm=event.frm, to=event.to,
+                       detail=event.detail, cycles=event.cycles)
 
     def on_world_call_hw(self, caller_wid: int, callee_wid: int, *,
                          frm: str, to: str, mode: str, ring: int,
@@ -205,12 +213,12 @@ class FlightRecorder:
     # ------------------------------------------------------------------
 
     def on_call_begin(self, caller_wid: int, callee_wid: int,
-                      cycles: int) -> None:
+                      cycles: int, cpu=None) -> None:
         self._emit("core", "call_begin", caller_wid=caller_wid,
                    callee_wid=callee_wid, cycles=cycles)
 
     def on_call_end(self, caller_wid: int, callee_wid: int, cycles: int,
-                    outcome: str) -> None:
+                    outcome: str, cpu=None) -> None:
         self._emit("core", "call_end", caller_wid=caller_wid,
                    callee_wid=callee_wid, cycles=cycles, detail=outcome)
 
@@ -224,11 +232,12 @@ class FlightRecorder:
                    callee_wid=callee_wid, decision=decision,
                    detail=detail)
 
-    def on_crossvm_begin(self, frm: str, to: str, cycles: int) -> None:
+    def on_crossvm_begin(self, frm: str, to: str, cycles: int,
+                         cpu=None) -> None:
         self._emit("core", "crossvm_begin", frm=frm, to=to, cycles=cycles)
 
     def on_crossvm_end(self, frm: str, to: str, cycles: int,
-                       outcome: str) -> None:
+                       outcome: str, cpu=None) -> None:
         self._emit("core", "crossvm_end", frm=frm, to=to, cycles=cycles,
                    detail=outcome)
 
@@ -243,21 +252,40 @@ class FlightRecorder:
     # hookpoints (systems + faults)
     # ------------------------------------------------------------------
 
-    def on_redirect_begin(self, system: str, variant: str, op: str,
-                          cycles: int) -> None:
-        self._emit("sys", "redirect_begin", frm=f"{system}/{variant}",
-                   detail=op, cycles=cycles)
+    def on_redirect_begin(self, system, op: str) -> None:
+        """``system`` (a case-study system) starts redirecting ``op``."""
+        self._emit("sys", "redirect_begin",
+                   frm=f"{system.name}/{system.variant}", detail=op,
+                   cycles=system.machine.cpu.perf.cycles)
 
-    def on_redirect_end(self, system: str, variant: str, op: str,
-                        cycles: int) -> None:
-        self._emit("sys", "redirect_end", frm=f"{system}/{variant}",
-                   detail=op, cycles=cycles)
+    def on_redirect_end(self, system, op: str) -> None:
+        self._emit("sys", "redirect_end",
+                   frm=f"{system.name}/{system.variant}", detail=op,
+                   cycles=system.machine.cpu.perf.cycles)
 
     def on_fault_injected(self, site: str) -> None:
         """Marker written when the fault engine fires a site.  Exists
         for offline correlation only; detectors must not read it (a
         production fault leaves no such courtesy marker)."""
         self._emit("fault", "fault_injected", site=site)
+
+    # ------------------------------------------------------------------
+    # cells (the hook-bus protocol)
+    # ------------------------------------------------------------------
+
+    def spawn(self, runner: str, args: tuple) -> "FlightRecorder":
+        return FlightRecorder(self.label, self.config)
+
+    def harvest(self) -> Dict[str, Any]:
+        return {"records": list(self._records), "dropped": self._dropped}
+
+    def absorb(self, payload: Dict[str, Any], runner: str = "",
+               args: tuple = (), pid: Optional[int] = None) -> None:
+        """Append a cell's records to this log (re-sequenced and
+        re-chained; the anomaly events already fired in the cell)."""
+        for record in payload["records"]:
+            self._append(dict(record))
+        self._dropped += payload["dropped"]
 
     # ------------------------------------------------------------------
     # export

@@ -28,12 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro import audit as _audit
-from repro import faults as _faults
-from repro import observatory as _observatory
-from repro import switchless as _switchless
-from repro import telemetry
-from repro import xray as _xray
+from repro import hooks as _hooks
 from repro.core import convention, fastpath
 from repro.core.binding import BindingTable
 from repro.core.channel import Channel, next_channel_gva
@@ -115,15 +110,8 @@ class WorldCallRuntime:
 
     def _note_recovery(self, policy: str) -> None:
         self.recoveries[policy] += 1
-        session = telemetry._session
-        if session is not None:
-            session.on_recovery(policy)
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_recovery(policy)
-        obs = _observatory._session
-        if obs is not None:
-            obs.on_recovery(policy)
+        for fn in _hooks.recovery:
+            fn(policy)
 
     # ------------------------------------------------------------------
     # setup (one-time, Section 3.3 "World-call setup")
@@ -223,47 +211,22 @@ class WorldCallRuntime:
         before any other layer runs, so a site the policy has flipped
         never reaches the VMFUNC path.
         """
-        engine = _switchless._engine
+        engine = _hooks.switchless
         if engine is not None and mechanism is None:
             mechanism = engine.select("world", caller.wid, callee_wid,
                                       self.machine.cpu.perf.cycles)
         if mechanism is not None and mechanism != "world_call":
             return self._call_mechanism(mechanism, caller, callee_wid,
                                         payload, authorize=authorize)
-        session = telemetry._session
-        if session is None:
-            return self._call_guarded(caller, callee_wid, payload,
-                                      authorize=authorize)
-        # Telemetry wraps the whole round trip in a span (modeled
-        # cycles + wall-clock); collection only reads the counters, so
-        # the modeled numbers are identical to the bare path.
-        session.on_world_call(caller.wid, callee_wid)
-        cycles_before = self.machine.cpu.perf.cycles
-        with session.tracer.span("world_call", category="core",
-                                 cpu=self.machine.cpu,
-                                 caller_wid=caller.wid,
-                                 callee_wid=callee_wid):
-            result = self._call_guarded(caller, callee_wid, payload,
-                                        authorize=authorize)
-        # Latency histogram for the time-resolved view (and the SLO
-        # engine's ``world_call.cycles.p99``): pure counter read, the
-        # modeled numbers are unchanged.  With an xray session also
-        # installed, sampled calls mint a deterministic trace id that
-        # becomes the bucket's exemplar.
-        exemplar = None
-        xray_session = _xray._session
-        if xray_session is not None:
-            exemplar = xray_session.call_exemplar(caller.wid, callee_wid)
-        session.on_world_call_cycles(
-            self.machine.cpu.perf.cycles - cycles_before, exemplar)
-        return result
+        return self._call_guarded(caller, callee_wid, payload,
+                                  authorize=authorize)
 
     def _call_mechanism(self, mechanism: str, caller: World,
                         callee_wid: int, payload: Any, *,
                         authorize: bool) -> Any:
         """Route an explicitly (or policy-) selected mechanism."""
         if mechanism == "switchless":
-            engine = _switchless._engine
+            engine = _hooks.switchless
             if engine is None:
                 raise ConfigurationError(
                     "mechanism='switchless' needs an installed engine; "
@@ -283,7 +246,8 @@ class WorldCallRuntime:
 
     def _call_guarded(self, caller: World, callee_wid: int, payload: Any, *,
                       authorize: bool) -> Any:
-        """Armed-timeout bookkeeping around one call.
+        """Armed-timeout bookkeeping and the ``call_begin`` /
+        ``call_end`` bracket around one call.
 
         The long watchdog timer is armed once and amortized across many
         calls (Section 3.4), but the *bookkeeping* entry in
@@ -301,12 +265,14 @@ class WorldCallRuntime:
             # stands, so no hypervisor round trip is charged.
             hypervisor.armed_timeouts[cpu.cpu_id] = (
                 caller.entry, caller.watchdog_budget)
-        # The recorder is captured once so the begin/end bracket always
-        # lands in the same log even if the recorder is swapped mid-call.
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_call_begin(caller.wid, callee_wid,
-                                   cpu.perf.cycles)
+        # Both tuples are read once, so the bracket closes on the
+        # subscribers that saw it open even if one is swapped mid-call.
+        # Observers only read the counters: modeled numbers are
+        # identical to the bare path.
+        begin = _hooks.call_begin
+        end = _hooks.call_end
+        for fn in begin:
+            fn(caller.wid, callee_wid, cpu.perf.cycles, cpu)
         outcome = "ok"
         try:
             return self._call_recoverable(caller, callee_wid, payload,
@@ -318,9 +284,8 @@ class WorldCallRuntime:
             armed = hypervisor.armed_timeouts.get(cpu.cpu_id)
             if armed is not None and armed[0] is caller.entry:
                 del hypervisor.armed_timeouts[cpu.cpu_id]
-            if recorder is not None:
-                recorder.on_call_end(caller.wid, callee_wid,
-                                     cpu.perf.cycles, outcome)
+            for fn in end:
+                fn(caller.wid, callee_wid, cpu.perf.cycles, outcome, cpu)
 
     def _call_recoverable(self, caller: World, callee_wid: int,
                           payload: Any, *, authorize: bool) -> Any:
@@ -369,12 +334,12 @@ class WorldCallRuntime:
         if self.binding_table is not None:
             self.binding_table.check(cpu, caller.wid, callee_wid)
 
-        if _faults._engine is not None:
-            _faults._engine.fire("core.call.pre", runtime=self,
-                                 caller=caller, callee_wid=callee_wid,
-                                 payload=payload)
+        if _hooks.faults is not None:
+            _hooks.faults.fire("core.call.pre", runtime=self,
+                               caller=caller, callee_wid=callee_wid,
+                               payload=payload)
 
-        if _faults._engine is None:
+        if _hooks.faults is None:
             # One content walk yields both the wire bytes and the fresh
             # copy the callee receives; the fault engine needs the
             # decode kept separate so it can poison the wire in flight.
@@ -420,10 +385,10 @@ class WorldCallRuntime:
 
         # --- CPU is now in the callee's context -----------------------
         presented_wid = delivered_caller_wid
-        if _faults._engine is not None:
-            forged = _faults._engine.fire("core.call.present", runtime=self,
-                                          caller=caller,
-                                          caller_wid=delivered_caller_wid)
+        if _hooks.faults is not None:
+            forged = _hooks.faults.fire("core.call.present", runtime=self,
+                                        caller=caller,
+                                        caller_wid=delivered_caller_wid)
             if forged is not None:
                 presented_wid = forged
         callee = self.registry.get(callee_wid)
@@ -436,7 +401,7 @@ class WorldCallRuntime:
             return self._recover_from_hang(caller, callee)
 
         try:
-            if _faults._engine is None:
+            if _hooks.faults is None:
                 result_wire, result_value = convention.roundtrip(result)
             else:
                 result_wire = convention.encode(result)
@@ -460,9 +425,9 @@ class WorldCallRuntime:
             channel.write_payload(cpu, self.machine.memory, result_wire)
 
         # The callee returns by issuing world_call back to the caller.
-        if _faults._engine is not None:
-            _faults._engine.fire("core.call.return", runtime=self,
-                                 caller=caller, callee_wid=callee_wid)
+        if _hooks.faults is not None:
+            _hooks.faults.fire("core.call.return", runtime=self,
+                               caller=caller, callee_wid=callee_wid)
         try:
             self._world_call_hw(cpu, delivered_caller_wid)
         except WorldCallFault as fault:
@@ -612,17 +577,14 @@ class WorldCallRuntime:
                         cpu.perf.charge("sched_reload", _SCHED_RELOAD)
                 if authorize:
                     cpu.charge("world_authorize")
-                    recorder = _audit._recorder
                     try:
                         callee.policy.check(caller.wid)
-                        if recorder is not None:
-                            recorder.on_authorization(
-                                caller.wid, callee_wid, "allow")
+                        for fn in _hooks.authorization:
+                            fn(caller.wid, callee_wid, "allow")
                     except AuthorizationDenied as denied:
-                        if recorder is not None:
-                            recorder.on_authorization(
-                                caller.wid, callee_wid, "deny",
-                                denied.detail or str(denied))
+                        for fn in _hooks.authorization:
+                            fn(caller.wid, callee_wid, "deny",
+                               denied.detail or str(denied))
                         error = denied
                 if error is None:
                     request = CallRequest(
@@ -690,22 +652,19 @@ class WorldCallRuntime:
             if authorize:
                 if not fused_entry:
                     cpu.charge("world_authorize")
-                recorder = _audit._recorder
                 try:
-                    if _faults._engine is not None:
-                        _faults._engine.fire("core.call.authorize",
-                                             runtime=self, callee=callee,
-                                             caller_wid=caller_wid)
+                    if _hooks.faults is not None:
+                        _hooks.faults.fire("core.call.authorize",
+                                           runtime=self, callee=callee,
+                                           caller_wid=caller_wid)
                     callee.policy.check(caller_wid)
                 except AuthorizationDenied as denied:
-                    if recorder is not None:
-                        recorder.on_authorization(
-                            caller_wid, callee_wid, "deny",
-                            denied.detail or str(denied))
+                    for fn in _hooks.authorization:
+                        fn(caller_wid, callee_wid, "deny",
+                           denied.detail or str(denied))
                     return ("__denied__", denied.detail or str(denied))
-                if recorder is not None:
-                    recorder.on_authorization(caller_wid, callee_wid,
-                                              "allow")
+                for fn in _hooks.authorization:
+                    fn(caller_wid, callee_wid, "allow")
             if in_registers:
                 payload = (convention.decode(wire)
                            if decoded is _NO_PAYLOAD else decoded)
@@ -717,9 +676,9 @@ class WorldCallRuntime:
                 caller_wid=caller_wid, payload=payload,
                 service=callee.policy.service_for(caller_wid))
             try:
-                if _faults._engine is not None:
-                    _faults._engine.fire("core.call.handler", runtime=self,
-                                         callee=callee, request=request)
+                if _hooks.faults is not None:
+                    _hooks.faults.fire("core.call.handler", runtime=self,
+                                       callee=callee, request=request)
                 return callee.handler(request)
             except CalleeHang:
                 raise        # handled by the watchdog path in call()

@@ -21,9 +21,7 @@ import zlib
 from collections import OrderedDict
 from typing import Any
 
-from repro import audit as _audit
-from repro import faults as _faults
-from repro import telemetry as _telemetry
+from repro import hooks as _hooks
 from repro.core import fastpath
 from repro.errors import GuestOSError, SimulationError
 from repro.guestos.fs.inode import InodeType, StatResult
@@ -428,7 +426,7 @@ def encode(value: Any) -> bytes:
     if key is not None:
         cached = _encode_cache.get(key)
         if cached is not None:
-            if _faults._engine is not None:
+            if _hooks.faults is not None:
                 crc = _encode_crc.get(key)
                 if crc is not None and zlib.crc32(cached) != crc:
                     # Poisoned entry: repair from the live payload
@@ -437,12 +435,8 @@ def encode(value: Any) -> bytes:
                     _encode_cache[key] = cached
                     _encode_crc[key] = zlib.crc32(cached)
                     cache_stats["poison_repaired"] += 1
-                    session = _telemetry._session
-                    if session is not None:
-                        session.on_recovery("marshal_repair")
-                    recorder = _audit._recorder
-                    if recorder is not None:
-                        recorder.on_marshal_repair()
+                    for fn in _hooks.marshal_repair:
+                        fn()
             _encode_cache.move_to_end(key)
             cache_stats["encode_hits"] += 1
             return cached
@@ -450,7 +444,7 @@ def encode(value: Any) -> bytes:
     if key is not None:
         cache_stats["encode_misses"] += 1
         _encode_cache[key] = wire
-        if _faults._engine is not None:
+        if _hooks.faults is not None:
             _encode_crc[key] = zlib.crc32(wire)
         if len(_encode_cache) > _CACHE_MAX:
             evicted_key, _ = _encode_cache.popitem(last=False)

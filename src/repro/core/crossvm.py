@@ -36,10 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro import audit as _audit
-from repro import faults as _faults
-from repro import switchless as _switchless
-from repro import telemetry
+from repro import hooks as _hooks
 from repro.core import convention, fastpath
 from repro.errors import (ConfigurationError, GuestOSError, SimulationError,
                           VMFuncFault)
@@ -247,7 +244,7 @@ class CrossVMSyscallMechanism:
         run.  Zero cost when no engine is installed and no explicit
         mechanism was requested: one module-attribute read, two branches.
         """
-        sl_engine = _switchless._engine
+        sl_engine = _hooks.switchless
         if mechanism is None:
             if sl_engine is None:
                 return _NOT_ROUTED
@@ -271,35 +268,22 @@ class CrossVMSyscallMechanism:
 
     def _roundtrip(self, from_vm: VirtualMachine, to_vm: VirtualMachine,
                    request_obj: Any, server: Callable[[Any], Any]) -> Any:
-        recorder = _audit._recorder
-        if recorder is None:
-            return self._roundtrip_observed(from_vm, to_vm, request_obj,
-                                            server)
-        cycles = self.machine.cpu.perf.cycles
-        recorder.on_crossvm_begin(from_vm.name, to_vm.name, cycles)
+        begin = _hooks.crossvm_begin
+        if not begin:
+            return self._roundtrip_impl(from_vm, to_vm, request_obj, server)
+        end = _hooks.crossvm_end
+        cpu = self.machine.cpu
+        for fn in begin:
+            fn(from_vm.name, to_vm.name, cpu.perf.cycles, cpu)
         outcome = "ok"
         try:
-            return self._roundtrip_observed(from_vm, to_vm, request_obj,
-                                            server)
+            return self._roundtrip_impl(from_vm, to_vm, request_obj, server)
         except BaseException as exc:
             outcome = type(exc).__name__
             raise
         finally:
-            recorder.on_crossvm_end(from_vm.name, to_vm.name,
-                                    self.machine.cpu.perf.cycles, outcome)
-
-    def _roundtrip_observed(self, from_vm: VirtualMachine,
-                            to_vm: VirtualMachine, request_obj: Any,
-                            server: Callable[[Any], Any]) -> Any:
-        session = telemetry._session
-        if session is None:
-            return self._roundtrip_impl(from_vm, to_vm, request_obj, server)
-        # One span per Figure-4 round trip (covers the fused path too).
-        session.on_crossvm_roundtrip(from_vm.name, to_vm.name)
-        with session.tracer.span("crossvm_roundtrip", category="core",
-                                 cpu=self.machine.cpu,
-                                 frm=from_vm.name, to=to_vm.name):
-            return self._roundtrip_impl(from_vm, to_vm, request_obj, server)
+            for fn in end:
+                fn(from_vm.name, to_vm.name, cpu.perf.cycles, outcome, cpu)
 
     def _roundtrip_impl(self, from_vm: VirtualMachine,
                         to_vm: VirtualMachine, request_obj: Any,
@@ -323,7 +307,7 @@ class CrossVMSyscallMechanism:
         # with a fault engine installed the dispatcher takes the
         # step-by-step path so injected faults land between real steps.
         if fastpath.enabled() and not cpu.trace.enabled and \
-                _faults._engine is None:
+                _hooks.faults is None:
             return self._roundtrip_fused(state, from_vm, to_vm, request_obj,
                                          server, saved_pt, saved_idt)
 
@@ -440,12 +424,8 @@ class CrossVMSyscallMechanism:
                                        ExitReason.VMFUNC_FAULT,
                                        "crossvm legacy")
         self.recoveries["legacy_roundtrip"] += 1
-        session = telemetry._session
-        if session is not None:
-            session.on_recovery("crossvm_legacy")
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_recovery("crossvm_legacy")
+        for fn in _hooks.recovery:
+            fn("crossvm_legacy")
         if isinstance(outcome, GuestOSError):
             raise outcome
         return outcome

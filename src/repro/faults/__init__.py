@@ -13,16 +13,15 @@ The subsystem has four pieces:
   (``denied-cleanly`` / ``recovered`` / ``degraded-to-legacy`` /
   ``invariant-violation``); ``crossover faults`` runs it.
 
-Like telemetry and the fast path, injection is a module-global switch
-that is *zero cost when disabled*: hot datapath code guards every
-hookpoint with ``if _faults._engine is not None`` and the default is
-``None``.
+The installed engine is the ``faults`` policy seam of the hook bus
+(:data:`repro.hooks.faults`): hot datapath code guards every hookpoint
+with ``if _hooks.faults is not None``, so injection is *zero cost when
+disabled*.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from repro import hooks as _hooks
 
 from .engine import FaultEngine
 from .plan import FaultPlan, seeded_plan, seeded_schedule
@@ -43,37 +42,5 @@ __all__ = [
     "uninstall",
 ]
 
-#: The installed engine; ``None`` means injection is off everywhere.
-_engine: Optional[FaultEngine] = None
-
-
-def install(engine: FaultEngine) -> FaultEngine:
-    """Install ``engine`` as the process-wide fault engine."""
-    global _engine
-    _engine = engine
-    return engine
-
-
-def uninstall() -> None:
-    global _engine
-    _engine = None
-
-
-def enabled() -> bool:
-    return _engine is not None
-
-
-def current() -> Optional[FaultEngine]:
-    return _engine
-
-
-@contextmanager
-def scoped(engine: FaultEngine) -> Iterator[FaultEngine]:
-    """Install ``engine`` for the duration of a with-block (nest-safe)."""
-    global _engine
-    previous = _engine
-    _engine = engine
-    try:
-        yield engine
-    finally:
-        _engine = previous
+install, uninstall, current, enabled, scoped = _hooks.bind(
+    "faults", lambda: FaultEngine(()))

@@ -1,7 +1,8 @@
 """The fault engine: deterministic, budgeted firing of planned faults.
 
-The engine is installed as a module global (see :mod:`repro.faults`)
-and datapath code calls :meth:`FaultEngine.fire` at named hookpoints.
+The engine is installed as the hook bus's ``faults`` seam (see
+:mod:`repro.hooks`) and datapath code calls :meth:`FaultEngine.fire`
+at named hookpoints.
 Firing is a pure function of (plans, operation index, hookpoint
 context): no clocks, no ambient RNG, so two runs with the same plans
 replay the same faults at the same instructions regardless of worker
@@ -19,16 +20,21 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import audit as _audit
-from repro import observatory as _observatory
-from repro import telemetry
+from repro import hooks as _hooks
 
 from .plan import FaultPlan
 from .sites import SITES, FaultSite
 
 
-class FaultEngine:
-    """Evaluates :class:`FaultPlan` objects at datapath hookpoints."""
+class FaultEngine(_hooks.Subscriber):
+    """Evaluates :class:`FaultPlan` objects at datapath hookpoints.
+
+    Plan budgets and schedules span the whole run, so per-cell copies
+    could not be merged back: an installed engine keeps a parallel
+    sweep's cells in this process (``in_process``), all sharing it.
+    """
+
+    in_process = True
 
     def __init__(self, plans) -> None:
         self.plans: Tuple[FaultPlan, ...] = tuple(plans)
@@ -89,17 +95,10 @@ class FaultEngine:
                 continue
             self.fired[plan.site] += 1
             self.fired_this_op.append(plan.site)
-            session = telemetry._session
-            if session is not None:
-                session.on_fault_injected(plan.site)
-            recorder = _audit._recorder
-            if recorder is not None:
-                # Correlation marker only — detectors ignore fam
-                # "fault" records (see repro.audit.detectors).
-                recorder.on_fault_injected(plan.site)
-            obs = _observatory._session
-            if obs is not None:
-                obs.on_fault(plan.site)
+            # The audit record is a correlation marker only — the
+            # detectors ignore fam "fault" records.
+            for fn in _hooks.fault_injected:
+                fn(plan.site)
             value = site.action(self, ctx)
             if value is not None:
                 result = value

@@ -186,7 +186,7 @@ class _CalibrationHarness:
 
 def calibrate_costs(mechanism: str) -> MechanismCosts:
     """Measure one mechanism's stage costs on a fresh machine."""
-    from repro import switchless as _sl
+    from repro import hooks as _hooks
     from repro.core import convention, fastpath
     from repro.switchless import SwitchlessConfig, SwitchlessEngine
 
@@ -199,8 +199,8 @@ def calibrate_costs(mechanism: str) -> MechanismCosts:
     engine = None
     if mechanism == "switchless":
         engine = SwitchlessEngine(SwitchlessConfig(mode="force", workers=1))
-    previous = _sl._engine
-    _sl._engine = engine
+    previous = _hooks.current("switchless")
+    _hooks.install("switchless", engine)
     mech_arg = "baseline" if mechanism == "baseline" else None
     try:
         harness = _CalibrationHarness()
@@ -238,7 +238,7 @@ def calibrate_costs(mechanism: str) -> MechanismCosts:
             marshal_cycles=marshal,
         )
     finally:
-        _sl._engine = previous
+        _hooks.install("switchless", previous)
         if not was_fast:
             fastpath.disable()
         convention.clear_caches()

@@ -14,9 +14,7 @@ from __future__ import annotations
 import enum
 from typing import Optional, TYPE_CHECKING
 
-from repro import audit as _audit
-from repro import faults as _faults
-from repro import telemetry as _telemetry
+from repro import hooks as _hooks
 from repro.errors import (
     GeneralProtectionFault,
     InvalidOpcode,
@@ -345,9 +343,9 @@ class CPU:
         * fn 0x2 — ``manage_wtc`` is exposed via :meth:`manage_wtc`
           because it carries an object payload.
         """
-        if _faults._engine is not None:
-            _faults._engine.fire("hw.vmfunc", cpu=self, function=function,
-                                 argument=argument)
+        if _hooks.faults is not None:
+            _hooks.faults.fire("hw.vmfunc", cpu=self, function=function,
+                               argument=argument)
         if function == VMFUNC_EPT_SWITCH:
             return self._vmfunc_ept_switch(argument, charge)
         if function == VMFUNC_WORLD_CALL:
@@ -381,10 +379,8 @@ class CPU:
             if charge:
                 self.perf.charge("vmfunc_ept_switch",
                                  self.cost_model.vmfunc_ept_switch)
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_ept_switch(index, self.world_label, self.ring,
-                                   self.perf.cycles)
+        for fn in _hooks.ept_switch:
+            fn(index, self.world_label, self.ring, self.perf.cycles)
 
     def _world_call(self, callee_wid: int) -> int:
         """The ``world_call`` datapath (Sections 3.3 and 5.1).
@@ -399,20 +395,18 @@ class CPU:
             raise InvalidOpcode(
                 "world_call requires the CrossOver extension")
         self.charge("world_call_hw")
-        # Telemetry observes the hardware datapath itself (not just the
+        # Observers see the hardware datapath itself (not just the
         # transition trace, which may be disabled on the fast path).
         # Observation never charges: modeled counters stay bit-identical.
-        session = _telemetry._session
-        if session is not None:
-            session.metrics.counter("hw.world_call", cpu=self.cpu_id).inc()
+        for fn in _hooks.world_call_issue:
+            fn(self.cpu_id)
         caller = self._lookup_caller()
         try:
             callee = self.wt_caches.lookup_callee(callee_wid)
         except WorldTableCacheMiss:
             self.charge("wt_miss_exception")
-            if session is not None:
-                session.metrics.counter("hw.wt_miss", cache="wt",
-                                        cpu=self.cpu_id).inc()
+            for fn in _hooks.wt_miss:
+                fn("wt", self.cpu_id)
             raise
         if not callee.present:
             raise WorldNotPresent(f"world {callee_wid} is not present")
@@ -426,22 +420,20 @@ class CPU:
             callee.ept.translate(entry_gpa, execute=True)
 
         trace_on = self.trace.enabled
-        recorder = _audit._recorder
-        frm = (self.world_label if trace_on or recorder is not None
-               else "")
+        committed = _hooks.world_call_hw
+        frm = self.world_label if trace_on or committed else ""
         self.commit_world_entry(callee, caller.wid)
         if trace_on:
             hw_cost = self.cost_model.world_call_hw
             self.trace.record("world_call", frm, self.world_label,
                               f"wid {caller.wid} -> {callee_wid}",
                               hw_cost.cycles, hw_cost.instructions)
-        if recorder is not None:
-            # The semantic audit record: the WIDs here are the ones the
+        for fn in committed:
+            # The semantic record: the WIDs here are the ones the
             # hardware authenticated, independent of the trace events.
-            recorder.on_world_call_hw(
-                caller.wid, callee_wid, frm=frm, to=self.world_label,
-                mode="H" if callee.host_mode else "G", ring=self.ring,
-                cycles=self.perf.cycles)
+            fn(caller.wid, callee_wid, frm=frm, to=self.world_label,
+               mode="H" if callee.host_mode else "G", ring=self.ring,
+               cycles=self.perf.cycles)
         return caller.wid
 
     def commit_world_entry(self, entry: WorldTableEntry,
@@ -481,10 +473,8 @@ class CPU:
             return self.wt_caches.lookup_caller(self._context_key())
         except WorldTableCacheMiss:
             self.charge("wt_miss_exception")
-            session = _telemetry._session
-            if session is not None:
-                session.metrics.counter("hw.wt_miss", cache="iwt",
-                                        cpu=self.cpu_id).inc()
+            for fn in _hooks.wt_miss:
+                fn("iwt", self.cpu_id)
             raise
 
     def _context_key(self):

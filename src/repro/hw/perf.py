@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
+from repro import hooks as _hooks
 from repro import observatory as _observatory
 from repro.hw.costs import Cost, us
 
@@ -81,10 +82,12 @@ class PerfCounters:
     """Mutable instruction/cycle/event accumulators for one CPU.
 
     When an observatory is installed (:mod:`repro.observatory`), each
-    counter carries a next-window threshold: crossing it at a charge
-    routes one sampling boundary to the observatory.  Dormant cost is
-    one class-attribute load and one integer compare per charge — the
-    class-level ``_obs_next`` sentinel can never be crossed.
+    counter built or reset meanwhile is handed to it through the
+    ``perf_zeroed`` bus event and carries a next-window threshold:
+    crossing it at a charge routes one sampling boundary to the
+    observatory.  Dormant cost is one class-attribute load and one
+    integer compare per charge — the class-level ``_obs_next`` sentinel
+    can never be crossed.
     """
 
     #: No observatory: threshold the cycle accumulator can never reach.
@@ -95,8 +98,8 @@ class PerfCounters:
         self.instructions = 0
         self.cycles = 0
         self.events: Counter = Counter()
-        if _observatory._session is not None:
-            _observatory._session.adopt(self)
+        for fn in _hooks.perf_zeroed:
+            fn(self)
 
     def charge(self, kind: str, cost: Cost) -> None:
         """Record one event of ``kind`` costing ``cost``."""
@@ -133,17 +136,13 @@ class PerfCounters:
 
     def reset(self) -> None:
         """Zero every counter (used between benchmark iterations)."""
-        session = _observatory._session
-        if session is not None and self._obs is session:
+        if self._obs is not None:
             # Close out the un-sampled tail before the cycle domain
             # restarts at zero (a stale anchor would mis-size the next
-            # window delta).
-            session.on_boundary(self)
+            # window delta), or disarm for a gone observatory.
+            _observatory._boundary(self)
         self.instructions = 0
         self.cycles = 0
         self.events.clear()
-        if session is not None:
-            session.adopt(self)
-        elif self._obs is not None:
-            self._obs = None
-            self._obs_next = _observatory._OBS_DISABLED
+        for fn in _hooks.perf_zeroed:
+            fn(self)

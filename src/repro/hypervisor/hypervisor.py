@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import audit as _audit
-from repro import faults as _faults
+from repro import hooks as _hooks
 from repro.errors import ConfigurationError, GuestOSError, SimulationError
 from repro.hw.cpu import CPU, Mode, Ring
 from repro.hw.ept import EPTPList
@@ -138,23 +137,22 @@ class Hypervisor:
         cpu.vmexit(ExitReason.VMCALL, f"hypercall {number:#x}")
         cpu.charge("vmexit_handle")
         cpu.charge("hypercall_dispatch")
-        recorder = _audit._recorder
         try:
-            if _faults._engine is not None:
-                _faults._engine.fire("hv.hypercall", hypervisor=self,
-                                     cpu=cpu, vm=vm, number=number)
+            if _hooks.faults is not None:
+                _hooks.faults.fire("hv.hypercall", hypervisor=self,
+                                   cpu=cpu, vm=vm, number=number)
             result = self.hypercalls.dispatch(number, cpu, vm, *args,
                                               **kwargs)
         except GuestOSError:
             # The handler (or injected guard) rejected the request —
             # the "deny" half of the hypercall audit trail.
-            if recorder is not None:
-                recorder.on_hypercall(number, vm.name, "deny")
+            for fn in _hooks.hypercall:
+                fn(number, vm.name, "deny")
             raise
         finally:
             cpu.vmentry(vm.vmcs, "resume")
-        if recorder is not None:
-            recorder.on_hypercall(number, vm.name, "allow")
+        for fn in _hooks.hypercall:
+            fn(number, vm.name, "allow")
         return result
 
     def _register_hypercalls(self) -> None:

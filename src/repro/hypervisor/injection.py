@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro import audit as _audit
-from repro import faults as _faults
-from repro import telemetry
+from repro import hooks as _hooks
 from repro.hw.cpu import CPU
 from repro.hypervisor.vm import VirtualMachine
 
@@ -44,12 +42,8 @@ class Injector:
         self.injected += 1
         self.injected_by_vector[vector] = \
             self.injected_by_vector.get(vector, 0) + 1
-        session = telemetry._session
-        if session is not None:
-            session.on_virq_injected(vector, vm.name)
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_virq_inject(vector, vm.name)
+        for fn in _hooks.virq_inject:
+            fn(vector, vm.name)
 
     def deliver_pending(self, cpu: CPU, vm: VirtualMachine,
                         charge: bool = True) -> int:
@@ -58,9 +52,9 @@ class Injector:
         Must be called with the CPU already inside ``vm`` (after a VM
         entry).  Returns the number of interrupts delivered.
         """
-        if _faults._engine is not None:
-            _faults._engine.fire("hv.inject.deliver", injector=self,
-                                 cpu=cpu, vm=vm)
+        if _hooks.faults is not None:
+            _hooks.faults.fire("hv.inject.deliver", injector=self,
+                               cpu=cpu, vm=vm)
         delivered = 0
         while True:
             item = vm.take_virq()
@@ -70,9 +64,8 @@ class Injector:
             prior_ring = cpu.ring
             cpu.deliver_irq(vector, detail, charge=charge)
             delivered += 1
-            recorder = _audit._recorder
-            if recorder is not None:
-                recorder.on_virq_deliver(vector, vm.name)
+            for fn in _hooks.virq_deliver:
+                fn(vector, vm.name)
             handler = None
             if cpu.interrupts.idt is not None:
                 handler = cpu.interrupts.idt.handler(vector)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro import audit as _audit
-from repro import faults as _faults
+from repro import hooks as _hooks
 from repro.errors import (
     NoSuchWorld,
     SimulationError,
@@ -84,9 +83,8 @@ class WorldService:
         for cpu in cpus:
             if cpu.wt_caches is not None:
                 cpu.wt_caches.invalidate(entry)
-        from repro import switchless as _switchless
-        if _switchless._engine is not None:
-            _switchless._engine.on_world_revoked(wid)
+        if _hooks.switchless is not None:
+            _hooks.switchless.on_world_revoked(wid)
         return entry
 
     # ------------------------------------------------------------------
@@ -117,9 +115,8 @@ class WorldService:
         if shard_of is not None:
             shard = shard_of(entry.wid)
             self.shard_misses[shard] = self.shard_misses.get(shard, 0) + 1
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_wtc_service(miss.kind, miss.key)
+        for fn in _hooks.wtc_service:
+            fn(miss.kind, miss.key)
 
     def revalidate(self, cpu: CPU, wid: int) -> bool:
         """Re-validate a world after a faulted ``world_call`` (recovery).
@@ -140,9 +137,8 @@ class WorldService:
         entry.present = True
         cpu.charge("manage_wtc")
         cpu.wt_caches.fill(entry)
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_revalidate(wid)
+        for fn in _hooks.revalidate:
+            fn(wid)
         return True
 
     def world_call(self, cpu: CPU, callee_wid: int, *,
@@ -155,9 +151,9 @@ class WorldService:
         ``max_services=0`` (the WT-refill recovery policy disabled) a
         cache miss escapes raw to the caller.
         """
-        if _faults._engine is not None:
-            _faults._engine.fire("hv.worlds.call", service=self, cpu=cpu,
-                                 callee_wid=callee_wid)
+        if _hooks.faults is not None:
+            _hooks.faults.fire("hv.worlds.call", service=self, cpu=cpu,
+                               callee_wid=callee_wid)
         if max_services <= 0:
             result = cpu.vmfunc(VMFUNC_WORLD_CALL, callee_wid)
             assert result is not None

@@ -12,8 +12,11 @@ a jump in cycles/call is attributable to the event that preceded it.
 Mechanics.  :class:`~repro.hw.perf.PerfCounters` carries a
 next-boundary threshold; ``charge``/``charge_batch`` compare the cycle
 accumulator against it — one attribute read and one integer compare
-when dormant, the same zero-cost discipline as every other subsystem
-global here.  When the threshold trips, the observatory advances its
+when dormant.  The observatory is the ``observatory`` subscriber of
+the hook bus (:mod:`repro.hooks`): its ``perf_zeroed`` callback arms
+every counter built or reset while it is installed, and the
+``_obs_next`` threshold is its per-charge seam.  When the threshold
+trips, the observatory advances its
 cumulative clock, re-arms the threshold, and takes one sample: the
 current registry snapshot (when a telemetry session is installed) and
 the live subsystem stat taps, differenced against the previous sample.
@@ -41,9 +44,9 @@ subsystem that imports *it* (hw.perf, switchless, faults, audit)
 
 from __future__ import annotations
 
-import contextlib
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro import hooks as _hooks
 from repro.observatory.store import CLIP_COUNTER, WindowStore, crosscheck
 
 __all__ = [
@@ -91,7 +94,7 @@ class ObservatoryConfig:
         return cls(**data)
 
 
-class Observatory:
+class Observatory(_hooks.Subscriber):
     """One recording: clock, window store, event taps, cell payloads."""
 
     def __init__(self, label: str = "observatory",
@@ -119,6 +122,18 @@ class Observatory:
         self._totals: Dict[str, int] = {}
         self._rebase()
 
+    @classmethod
+    def nested(cls, label: str = "observatory",
+               config: Optional[ObservatoryConfig] = None
+               ) -> "Observatory":
+        """An observatory for a block nested in the installed one: with
+        no explicit ``config`` it inherits the installed one's."""
+        if config is None:
+            outer = _hooks.current("observatory")
+            if outer is not None:
+                config = outer.config
+        return cls(label, config)
+
     # -- clock plumbing (called from repro.hw.perf) --------------------
 
     def adopt(self, perf) -> None:
@@ -135,6 +150,10 @@ class Observatory:
         perf._obs_base = self.clock - perf.cycles
         perf._obs_next = perf.cycles + self.config.window_cycles
         self._perf = perf
+
+    #: The ``perf_zeroed`` bus callback: a counter built or reset while
+    #: this observatory is installed joins the recording.
+    on_perf_zeroed = adopt
 
     def on_boundary(self, perf) -> None:
         """A perf counter crossed its window threshold: advance the
@@ -157,8 +176,8 @@ class Observatory:
 
         Must run while the observed sources (telemetry session,
         subsystem engines) are still installed — :func:`uninstall` and
-        :func:`scoped` call it, and the cell runner calls it before the
-        cell's scoped session unwinds.
+        :func:`scoped` call it (as :meth:`detach`), and a spawned cell's
+        :meth:`harvest` calls it before the cell's session unwinds.
         """
         if self._flushed:
             return
@@ -174,6 +193,8 @@ class Observatory:
         self._sample(index, delta)
         self._totals = dict(self._collect_registry()[1])
         self._flushed = True
+
+    detach = flush
 
     # -- event taps (called from subsystem seams) ----------------------
 
@@ -193,7 +214,7 @@ class Observatory:
         self.store.add_event("switchless.flip", site, mechanism,
                              base + cycles)
 
-    def on_fault(self, site: str) -> None:
+    def on_fault_injected(self, site: str) -> None:
         """The fault engine fired one planned fault."""
         self.store.add_event("fault.injected", site, "", self._now())
 
@@ -211,8 +232,7 @@ class Observatory:
     def _collect_registry(self):
         """(source, counters, gauges, histograms) from the installed
         telemetry session's registry (empty when none)."""
-        from repro import telemetry
-        session = telemetry._session
+        session = _hooks.current("telemetry")
         if session is None:
             return None, {}, {}, {}
         snap = session.metrics.snapshot()
@@ -221,11 +241,8 @@ class Observatory:
     def _collect_subsystems(self):
         """``{group: (source, counters, gauges)}`` from the live
         subsystem stat taps."""
-        from repro import audit as _audit
-        from repro import faults as _faults
-        from repro import switchless as _switchless
         groups: Dict[str, Any] = {}
-        sl = _switchless._engine
+        sl = _hooks.current("switchless")
         if sl is not None:
             counters = {f"switchless.{name}": value for name, value
                         in sl.stats.to_dict().items()}
@@ -233,12 +250,12 @@ class Observatory:
             gauges = {f"switchless.{name}": value for name, value
                       in sl.tuning().items()}
             groups["switchless"] = (sl, counters, gauges)
-        fe = _faults._engine
+        fe = _hooks.current("faults")
         if fe is not None:
             counters = {f"faults.fired.{site}": fired for site, fired
                         in fe.fired_counts().items()}
             groups["faults"] = (fe, counters, {})
-        recorder = _audit._recorder
+        recorder = _hooks.current("audit")
         if recorder is not None:
             counters = {f"audit.{name}": value for name, value
                         in recorder.stats().items()}
@@ -359,11 +376,35 @@ class Observatory:
         if perf is not None:
             self.adopt(perf)
 
-    # -- per-cell fan-out ----------------------------------------------
+    # -- cells (the hook-bus protocol) ---------------------------------
 
-    def spawn(self) -> "Observatory":
-        """A fresh observatory with the same config, for one cell."""
+    def spawn(self, runner: str, args: tuple) -> "Observatory":
+        """A fresh observatory with the same config, for one cell.
+
+        Spawned innermost (last in :data:`repro.hooks.ORDER`), so its
+        baseline is the cell's fresh sources and its windows depend only
+        on the cell's own modeled activity.
+        """
         return Observatory(self.label, self.config)
+
+    def harvest(self) -> Dict[str, Any]:
+        return self.to_dict()
+
+    def absorb(self, payload: Dict[str, Any], runner: str = "",
+               args: tuple = (), pid: Optional[int] = None) -> None:
+        self.absorb_cell(payload, runner, args)
+
+    def summarize(self, cells: List[Tuple[str, tuple, Any]]
+                  ) -> Dict[str, Any]:
+        """The sweep's ``observatory`` section: window and event counts
+        per absorbed cell."""
+        return {
+            "window_cycles": self.config.window_cycles,
+            "cells": [{"runner": cell["runner"], "args": cell["args"],
+                       "windows": len(cell.get("windows", [])),
+                       "events": len(cell.get("events", []))}
+                      for cell in self.cells],
+        }
 
     def absorb_cell(self, payload: Dict[str, Any], runner: str,
                     args: tuple) -> None:
@@ -481,70 +522,30 @@ class Observatory:
         return payload
 
 
-# ---------------------------------------------------------------------------
-# the process-global switch
-# ---------------------------------------------------------------------------
-
-_session: Optional[Observatory] = None
+install, uninstall, current, enabled, _scoped = _hooks.bind(
+    "observatory", Observatory)
 
 
-def current() -> Optional[Observatory]:
-    """The installed observatory, or None."""
-    return _session
-
-
-def enabled() -> bool:
-    """Whether an observatory is installed."""
-    return _session is not None
-
-
-def install(observatory: Optional[Observatory] = None) -> Observatory:
-    """Install ``observatory`` (or a fresh one) process-wide."""
-    global _session
-    _session = observatory if observatory is not None else Observatory()
-    return _session
-
-
-def uninstall() -> Optional[Observatory]:
-    """Flush, remove and return the installed observatory."""
-    global _session
-    observatory, _session = _session, None
-    if observatory is not None:
-        observatory.flush()
-    return observatory
-
-
-@contextlib.contextmanager
 def scoped(observatory: Optional[Observatory] = None,
            label: str = "observatory",
-           config: Optional[ObservatoryConfig] = None
-           ) -> Iterator[Observatory]:
-    """Install an observatory for a ``with`` block (flushing it on
-    exit), restoring whatever was installed before::
+           config: Optional[ObservatoryConfig] = None):
+    """Install an observatory (or a fresh :meth:`Observatory.nested`
+    one) for a ``with`` block, flushing it on exit and restoring
+    whatever was installed before::
 
         with telemetry.scoped("run") as session:
             with observatory.scoped() as obs:
                 run_workload()
             payload = obs.to_dict()
     """
-    global _session
-    previous = _session
-    if observatory is None:
-        if config is None and previous is not None:
-            config = previous.config
-        observatory = Observatory(label, config)
-    _session = observatory
-    try:
-        yield observatory
-    finally:
-        observatory.flush()
-        _session = previous
+    return _scoped(observatory if observatory is not None
+                   else Observatory.nested(label, config))
 
 
 def _boundary(perf) -> None:
     """The ``PerfCounters.charge`` seam: route a tripped threshold to
     the installed observatory, or disarm a stale adoption."""
-    obs = _session
+    obs = current()
     if obs is None:
         perf._obs = None
         perf._obs_next = _OBS_DISABLED

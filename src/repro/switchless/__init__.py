@@ -18,18 +18,17 @@ The subsystem has four pieces:
   "switchless"``, and with no explicit choice the installed engine's
   :meth:`SwitchlessEngine.select` decides.
 
-Like telemetry, faults and audit, the engine is a
-module-global switch that is *zero cost when disabled*: dispatch seams
-guard with ``if _switchless._engine is not None`` and the default is
-``None``.  An engine in ``observe`` mode is installed-but-dormant — it
+The installed engine is the ``switchless`` policy seam of the hook bus
+(:data:`repro.hooks.switchless`): dispatch seams guard with
+``if _hooks.switchless is not None``, so the engine is *zero cost when
+disabled*.  An engine in ``observe`` mode is installed-but-dormant — it
 watches every site but never diverts a call and never charges a cycle,
 so all counters stay bit-identical.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from repro import hooks as _hooks
 
 from .engine import (
     MODES,
@@ -56,43 +55,11 @@ __all__ = [
     "uninstall",
 ]
 
-#: The installed engine; ``None`` means switchless is off everywhere.
-_engine: Optional[SwitchlessEngine] = None
-
-
-def install(engine: Optional[SwitchlessEngine] = None) -> SwitchlessEngine:
-    """Install ``engine`` (or a default one) process-wide."""
-    global _engine
-    _engine = engine if engine is not None else SwitchlessEngine()
-    return _engine
-
-
-def uninstall() -> None:
-    global _engine
-    _engine = None
-
-
-def enabled() -> bool:
-    return _engine is not None
-
-
-def current() -> Optional[SwitchlessEngine]:
-    return _engine
+install, uninstall, current, enabled, scoped = _hooks.bind(
+    "switchless", SwitchlessEngine)
 
 
 def stats_dict() -> dict:
     """The installed engine's counters (empty dict when disabled)."""
-    return _engine.stats.to_dict() if _engine is not None else {}
-
-
-@contextmanager
-def scoped(engine: Optional[SwitchlessEngine] = None
-           ) -> Iterator[SwitchlessEngine]:
-    """Install an engine for the duration of a with-block (nest-safe)."""
-    global _engine
-    previous = _engine
-    _engine = engine if engine is not None else SwitchlessEngine()
-    try:
-        yield _engine
-    finally:
-        _engine = previous
+    engine = current()
+    return engine.stats.to_dict() if engine is not None else {}

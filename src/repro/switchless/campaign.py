@@ -113,7 +113,7 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
     """One campaign cell: the seeded schedule of ``workload`` through
     one transport.  Self-contained (fresh machine + engine), so it runs
     identically in-process or inside a fork worker."""
-    from repro import switchless as _sl
+    from repro import hooks as _hooks
     from repro.core import convention, fastpath
     from repro.switchless import SwitchlessConfig, SwitchlessEngine
 
@@ -132,8 +132,8 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
                                                    workers=workers))
     elif mechanism == "adaptive":
         engine = SwitchlessEngine(SwitchlessConfig(workers=workers))
-    previous = _sl._engine
-    _sl._engine = engine
+    previous = _hooks.current("switchless")
+    _hooks.install("switchless", engine)
     try:
         harness = _WorldCallHarness()
         cpu = harness.cpu
@@ -163,7 +163,7 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
                                   "policy": engine.policy.snapshot()}
         return cell
     finally:
-        _sl._engine = previous
+        _hooks.install("switchless", previous)
         if not was_fast:
             fastpath.disable()
         convention.clear_caches()

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import observatory as _observatory
+from repro import hooks as _hooks
 from repro.errors import (
     AuthorizationDenied,
     ConfigurationError,
@@ -138,7 +138,7 @@ class _RingPair:
         self.last_service_cycle: Optional[int] = None
 
 
-class SwitchlessEngine:
+class SwitchlessEngine(_hooks.Subscriber):
     """Deterministic worker scheduler + dispatch target for the seams."""
 
     def __init__(self, config: Optional[SwitchlessConfig] = None) -> None:
@@ -167,9 +167,40 @@ class SwitchlessEngine:
         self._win_reassigns = 0
         self._win_waste = 0
 
-    def clone(self) -> "SwitchlessEngine":
-        """A fresh engine with the same config (per-cell isolation)."""
+    # -- cells (the hook-bus protocol) ---------------------------------
+
+    def spawn(self, runner: str, args: tuple) -> "SwitchlessEngine":
+        """A fresh engine with the same config (per-cell isolation): it
+        sees only the cell's own call stream, so flips and tuner moves
+        are identical at any worker count."""
         return SwitchlessEngine(self.config)
+
+    def harvest(self) -> Dict[str, int]:
+        return self.stats.to_dict()
+
+    def absorb(self, payload: Dict[str, int], runner: str = "",
+               args: tuple = (), pid: Optional[int] = None) -> None:
+        """Add a cell's counters (a telemetry session installed beside
+        this engine absorbs them as ``switchless.*`` counters)."""
+        self.stats.merge(payload)
+        session = _hooks.current("telemetry")
+        if session is not None:
+            session.on_switchless_stats(payload)
+
+    def summarize(self, cells: List[Tuple[str, tuple, Any]]
+                  ) -> Dict[str, Any]:
+        """The sweep's ``switchless`` section: spec-order totals, the
+        tuned knobs, and every cell's counters."""
+        totals = SwitchlessStats()
+        per_cell = []
+        for runner, args, stats in cells:
+            if stats is None:
+                stats = {name: 0 for name in STAT_FIELDS}
+            totals.merge(stats)
+            per_cell.append({"runner": runner, "args": list(args),
+                             "stats": stats})
+        return {"totals": totals.to_dict(), "tuning": self.tuning(),
+                "cells": per_cell}
 
     @property
     def worker_count(self) -> int:
@@ -204,9 +235,8 @@ class SwitchlessEngine:
                 self.stats.flips_to_switchless += 1
             else:
                 self.stats.flips_to_world_call += 1
-            obs = _observatory._session
-            if obs is not None:
-                obs.on_flip(site, to_mechanism, at_cycles)
+            for fn in _hooks.flip:
+                fn(site, to_mechanism, at_cycles)
         if mode == "observe":
             return None
         return "switchless" if mechanism == "switchless" else None
@@ -214,33 +244,38 @@ class SwitchlessEngine:
     def world_call(self, runtime, caller, callee_wid: int,
                    payload: Any = None, *, authorize: bool = True) -> Any:
         """Serve one world-call site switchlessly."""
-        from repro import telemetry
-        session = telemetry._session
-        if session is None:
+        begin = _hooks.switchless_begin
+        if not begin:
             return self._world_call_impl(runtime, caller, callee_wid,
                                          payload, authorize)
-        session.on_switchless_call("world")
-        with session.tracer.span("switchless_call", category="switchless",
-                                 cpu=runtime.machine.cpu,
-                                 caller_wid=caller.wid,
-                                 callee_wid=callee_wid):
+        end = _hooks.switchless_end
+        cpu = runtime.machine.cpu
+        for fn in begin:
+            fn("world", caller.wid, callee_wid, cpu)
+        try:
             return self._world_call_impl(runtime, caller, callee_wid,
                                          payload, authorize)
+        finally:
+            for fn in end:
+                fn("world", cpu)
 
     def crossvm_call(self, mechanism, from_vm, to_vm, request_obj: Any,
                      server) -> Any:
         """Serve one cross-VM site switchlessly."""
-        from repro import telemetry
-        session = telemetry._session
-        if session is None:
+        begin = _hooks.switchless_begin
+        if not begin:
             return self._crossvm_impl(mechanism, from_vm, to_vm,
                                       request_obj, server)
-        session.on_switchless_call("crossvm")
-        with session.tracer.span("switchless_call", category="switchless",
-                                 cpu=mechanism.machine.cpu,
-                                 frm=from_vm.name, to=to_vm.name):
+        end = _hooks.switchless_end
+        cpu = mechanism.machine.cpu
+        for fn in begin:
+            fn("crossvm", from_vm.name, to_vm.name, cpu)
+        try:
             return self._crossvm_impl(mechanism, from_vm, to_vm,
                                       request_obj, server)
+        finally:
+            for fn in end:
+                fn("crossvm", cpu)
 
     # ------------------------------------------------------------------
     # world-call service
@@ -248,7 +283,6 @@ class SwitchlessEngine:
 
     def _world_call_impl(self, runtime, caller, callee_wid: int,
                          payload: Any, authorize: bool) -> Any:
-        from repro import audit as _audit
         from repro.core import convention
         from repro.core.call import CallRequest
 
@@ -293,18 +327,15 @@ class SwitchlessEngine:
                     # The worker still checks the caller WID stamped on
                     # the ring descriptor before serving it.
                     cpu.charge("world_authorize")
-                    recorder = _audit._recorder
                     try:
                         callee.policy.check(caller.wid)
-                        if recorder is not None:
-                            recorder.on_authorization(
-                                caller.wid, callee_wid, "allow")
+                        for fn in _hooks.authorization:
+                            fn(caller.wid, callee_wid, "allow")
                     except AuthorizationDenied as denied:
                         denied_detail = denied.detail or str(denied)
-                        if recorder is not None:
-                            recorder.on_authorization(
-                                caller.wid, callee_wid, "deny",
-                                denied_detail)
+                        for fn in _hooks.authorization:
+                            fn(caller.wid, callee_wid, "deny",
+                               denied_detail)
                 if denied_detail is not None:
                     result = ("__denied__", denied_detail)
                 else:

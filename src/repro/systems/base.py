@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import (Any, Callable, ContextManager, Dict, Iterable, Optional,
-                    Set, Tuple)
+from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
-from repro import audit
-from repro import telemetry
+from repro import hooks as _hooks
 from repro.core.crossvm import CrossVMSyscallMechanism
 from repro.errors import ConfigurationError, GuestOSError, SimulationError
 from repro.guestos.kernel import Kernel, SyscallRedirector
@@ -75,59 +73,28 @@ class CrossWorldSystem:
         """Subclass hook for system-specific plumbing."""
         return None
 
-    def _telemetry_span(self, op: str) -> Optional[ContextManager]:
-        """The session's span (or ``None``) bracketing one redirected
-        call.
-
-        Only called once the caller has seen an installed session (the
-        modeled counters are identical either way — telemetry never
-        charges; only host wall-clock differs).  The session decides
-        the span's shape: a tree span in the default mode, a sampled
-        ring record (or nothing) in the lightweight always-on mode —
-        the redirect is *counted* in every mode.
-        """
-        session = telemetry._session
-        assert session is not None
-        return session.redirect_span(self, op)
-
     def redirect_syscall(self, name: str, *args, **kwargs) -> Any:
         """Execute one syscall in the remote world.
 
         Must be invoked from the local VM's kernel at CPL 0 (i.e. from
-        the syscall dispatcher).  With no telemetry session and no
-        flight recorder installed the cost over calling
-        :meth:`_redirect` directly is two module attribute reads — this
-        is the measured hot path.
+        the syscall dispatcher).  With no observer installed the cost
+        over calling :meth:`_redirect` directly is one read of the
+        ``redirect_begin`` event tuple — this is the measured hot path.
+        Observers bracket the call (telemetry spans and counts it,
+        audit records it); they never charge, so the modeled counters
+        are identical either way.
         """
-        recorder = audit._recorder
-        if recorder is not None:
-            return self._redirect_audited(recorder, name, args, kwargs)
-        if telemetry._session is None:
+        begin = _hooks.redirect_begin
+        if not begin:
             return self._redirect(name, *args, **kwargs)
-        span = self._telemetry_span(name)
-        if span is None:
-            return self._redirect(name, *args, **kwargs)
-        with span:
-            return self._redirect(name, *args, **kwargs)
-
-    def _redirect_audited(self, recorder, name: str, args: tuple,
-                          kwargs: dict) -> Any:
-        """One redirected call bracketed by audit records (and, when a
-        telemetry session is also installed, its span)."""
-        cpu = self.machine.cpu
-        recorder.on_redirect_begin(self.name, self.variant, name,
-                                   cpu.perf.cycles)
+        end = _hooks.redirect_end
+        for fn in begin:
+            fn(self, name)
         try:
-            if telemetry._session is None:
-                return self._redirect(name, *args, **kwargs)
-            span = self._telemetry_span(name)
-            if span is None:
-                return self._redirect(name, *args, **kwargs)
-            with span:
-                return self._redirect(name, *args, **kwargs)
+            return self._redirect(name, *args, **kwargs)
         finally:
-            recorder.on_redirect_end(self.name, self.variant, name,
-                                     cpu.perf.cycles)
+            for fn in end:
+                fn(self, name)
 
     def _redirect(self, name: str, *args, **kwargs) -> Any:
         """Subclass hook: the system's actual redirection path."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro import audit, telemetry
+from repro import hooks as _hooks
 from repro.core import convention
 from repro.errors import GuestOSError, SimulationError
 from repro.hw.cpu import Mode, Ring
@@ -86,22 +86,15 @@ class HyperShell(CrossWorldSystem):
             raise SimulationError(
                 "the baseline shell runs in host userland; CPU is at "
                 f"{cpu.world_label}")
-        recorder = audit._recorder
-        if recorder is not None:
-            recorder.on_redirect_begin(self.name, self.variant, name,
-                                       cpu.perf.cycles)
+        begin = _hooks.redirect_begin
+        end = _hooks.redirect_end
+        for fn in begin:
+            fn(self, name)
         try:
-            if telemetry._session is None:
-                return self._shell_call(cpu, name, *args, **kwargs)
-            span = self._telemetry_span(name)
-            if span is None:
-                return self._shell_call(cpu, name, *args, **kwargs)
-            with span:
-                return self._shell_call(cpu, name, *args, **kwargs)
+            return self._shell_call(cpu, name, *args, **kwargs)
         finally:
-            if recorder is not None:
-                recorder.on_redirect_end(self.name, self.variant, name,
-                                         cpu.perf.cycles)
+            for fn in end:
+                fn(self, name)
 
     def _shell_call(self, cpu, name: str, *args, **kwargs) -> Any:
         # Shell's libc stub + trap into the host kernel (KVM).

@@ -9,11 +9,10 @@ One :class:`TelemetrySession` bundles the two collection surfaces:
   carrying modeled cycles *and* host wall-clock, with every transition
   trace event attached as an instant to the innermost open span.
 
-Exactly one session is installed process-wide at a time (mirroring
-:mod:`repro.core.fastpath`: the hot layers cannot afford per-call
-indirection).  Instrumented code checks ``telemetry._session`` — a
-module-attribute read plus a ``None`` test — and does *nothing else*
-while no session is installed, so:
+At most one session is installed at a time, as the ``telemetry``
+subscriber of the hook bus (:mod:`repro.hooks`); its ``on_*`` methods
+are the bus callbacks.  Instrumented code reads one event tuple and
+does *nothing else* while no session is installed, so:
 
 * with telemetry **off**, the hooks are a dead branch: fast-path
   equivalence and all modeled counters are untouched;
@@ -40,10 +39,10 @@ traced workload behind ``crossover trace`` in
 
 from __future__ import annotations
 
-import contextlib
 import time
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import hooks as _hooks
 from repro.hw.perf import WORLD_SWITCH_KINDS
 from repro.telemetry.registry import (Counter, Gauge, Histogram,
                                       MetricsRegistry)
@@ -54,7 +53,6 @@ __all__ = [
     "Counter", "Gauge", "Histogram",
     "Tracer", "Span", "SpanEvent", "SpanRing",
     "current", "enabled", "install", "uninstall", "scoped",
-    "transition_observer", "attach_machine",
 ]
 
 
@@ -93,11 +91,11 @@ class TelemetryConfig:
 
 
 class _RingSpan:
-    """Context manager for one sampled redirect in ring mode.
+    """One sampled redirect in ring mode.
 
-    Snapshots the modeled clocks (plain int reads) on entry, pushes one
-    ring record and one histogram observation on exit.  Never touches
-    wall-clock unless the session asked for it.
+    Snapshots the modeled clocks (plain int reads) when built, pushes
+    one ring record and one histogram observation on :meth:`close`.
+    Never touches wall-clock unless the session asked for it.
     """
 
     __slots__ = ("_session", "_cpu", "_system", "_op", "_variant",
@@ -110,19 +108,13 @@ class _RingSpan:
         self._system = system
         self._op = op
         self._variant = variant
-        self._cycles = 0
-        self._instructions = 0
-        self._wall = 0
-
-    def __enter__(self) -> "_RingSpan":
-        perf = self._cpu.perf
+        perf = cpu.perf
         self._cycles = perf.cycles
         self._instructions = perf.instructions
-        if self._session.config.capture_wall:
-            self._wall = time.perf_counter_ns()
-        return self
+        self._wall = (time.perf_counter_ns()
+                      if session.config.capture_wall else 0)
 
-    def __exit__(self, *exc) -> None:
+    def close(self) -> None:
         session = self._session
         perf = self._cpu.perf
         cycles = perf.cycles - self._cycles
@@ -136,7 +128,7 @@ class _RingSpan:
         session._observe_redirect_cycles(self._system, self._variant, cycles)
 
 
-class TelemetrySession:
+class TelemetrySession(_hooks.Subscriber):
     """All telemetry collected between :func:`install` and
     :func:`uninstall`.
 
@@ -175,6 +167,23 @@ class TelemetrySession:
         self._fault_counters: Dict[str, Callable] = {}
         self._recovery_counters: Dict[str, Callable] = {}
         self._switchless_counters: Dict[str, Callable] = {}
+        #: Open brackets, innermost last: (span, cpu, start cycles).
+        self._open: List[Tuple[Any, Any, int]] = []
+        self._cell_span: Optional[Span] = None
+
+    @classmethod
+    def nested(cls, label: str = "telemetry",
+               config: Optional[TelemetryConfig] = None
+               ) -> "TelemetrySession":
+        """A session for a block nested in the installed one: with no
+        explicit ``config`` it inherits the installed session's (so
+        cells scoped inside a lightweight sweep stay lightweight),
+        falling back to the tree default."""
+        if config is None:
+            outer = _hooks.current("telemetry")
+            if outer is not None:
+                config = outer.config
+        return cls(label, config)
 
     @classmethod
     def lightweight(cls, label: str = "telemetry") -> "TelemetrySession":
@@ -185,8 +194,7 @@ class TelemetrySession:
                                           sample_every=64))
 
     # ------------------------------------------------------------------
-    # hook entry points (instrumented layers call these after checking
-    # a session is installed; none of them touch the perf counters)
+    # hook-bus callbacks (none of them touch the perf counters)
     # ------------------------------------------------------------------
 
     def on_transition(self, event) -> None:
@@ -216,8 +224,29 @@ class TelemetrySession:
         self._inc_fused_batches()
         self._inc_fused_switches(record.world_switches)
 
-    def on_world_call(self, caller_wid: int, callee_wid: int) -> None:
-        """A :class:`~repro.core.call.WorldCallRuntime` call started."""
+    def on_world_call_issue(self, cpu_id: int) -> None:
+        """The hardware ``world_call`` datapath ran (the transition
+        trace may be off on the fast path; this is not)."""
+        self.metrics.counter("hw.world_call", cpu=cpu_id).inc()
+
+    def on_wt_miss(self, cache: str, cpu_id: int) -> None:
+        """A world-table cache lookup (``wt`` or ``iwt``) missed."""
+        self.metrics.counter("hw.wt_miss", cache=cache, cpu=cpu_id).inc()
+
+    def _close(self) -> Tuple[Any, Any, int]:
+        """Close the innermost bracket opened by a ``*_begin``."""
+        entry = self._open.pop()
+        span = entry[0]
+        if type(span) is _RingSpan:
+            span.close()
+        else:
+            self.tracer.close(span, entry[1])
+        return entry
+
+    def on_call_begin(self, caller_wid: int, callee_wid: int, cycles: int,
+                      cpu) -> None:
+        """A :class:`~repro.core.call.WorldCallRuntime` call started:
+        count it and open its span (modeled cycles + wall-clock)."""
         key = (caller_wid, callee_wid)
         inc = self._worldcall_counters.get(key)
         if inc is None:
@@ -225,28 +254,47 @@ class TelemetrySession:
                 "core.world_calls", caller_wid=caller_wid,
                 callee_wid=callee_wid).inc
         inc()
+        self._open.append((self.tracer.open(
+            "world_call", category="core", cpu=cpu, caller_wid=caller_wid,
+            callee_wid=callee_wid), cpu, cycles))
 
-    def on_world_call_cycles(self, cycles: int,
-                             exemplar: Optional[str] = None) -> None:
-        """One completed world call cost ``cycles`` modeled cycles
-        end-to-end — the ``world_call.cycles`` latency histogram the
-        observatory's SLO engine reads per window.  ``exemplar`` (a
-        deterministic xray trace id, when an xray session is installed
-        and sampled this call) pins the bucket's exemplar trace."""
+    def on_call_end(self, caller_wid: int, callee_wid: int, cycles: int,
+                    outcome: str, cpu) -> None:
+        """Close the call's span; a completed call's end-to-end cycles
+        land in the ``world_call.cycles`` latency histogram the
+        observatory's SLO engine reads per window.  With an xray session
+        installed, its deterministic trace id for a sampled call pins
+        the bucket's exemplar."""
+        start = self._close()[2]
+        if outcome != "ok":
+            return
+        exemplar = None
+        xray_session = _hooks.current("xray")
+        if xray_session is not None:
+            exemplar = xray_session.call_exemplar(caller_wid, callee_wid)
         observe = self._worldcall_hist
         if observe is None:
             observe = self._worldcall_hist = self.metrics.histogram(
                 "world_call.cycles").observe
-        observe(cycles, exemplar)
+        observe(cycles - start, exemplar)
 
-    def on_crossvm_roundtrip(self, frm: str, to: str) -> None:
-        """A Figure-4 cross-VM round trip started."""
+    def on_crossvm_begin(self, frm: str, to: str, cycles: int,
+                         cpu) -> None:
+        """A Figure-4 cross-VM round trip started (one span per round
+        trip, covering the fused path too)."""
         key = (frm, to)
         inc = self._crossvm_counters.get(key)
         if inc is None:
             inc = self._crossvm_counters[key] = self.metrics.counter(
                 "core.crossvm_roundtrips", frm=frm, to=to).inc
         inc()
+        self._open.append((self.tracer.open(
+            "crossvm_roundtrip", category="core", cpu=cpu, frm=frm, to=to),
+            cpu, cycles))
+
+    def on_crossvm_end(self, frm: str, to: str, cycles: int, outcome: str,
+                       cpu) -> None:
+        self._close()
 
     def on_fault_injected(self, site: str) -> None:
         """The fault engine fired one planned fault at ``site``."""
@@ -265,6 +313,10 @@ class TelemetrySession:
                 "faults.recoveries", policy=policy).inc
         inc()
 
+    def on_marshal_repair(self) -> None:
+        """A poisoned encode-cache entry was re-encoded."""
+        self.on_recovery("marshal_repair")
+
     def on_fleet_stats(self, stats: Dict[str, int]) -> None:
         """Absorb one fleet-scheduler run's totals at a quiescent point
         — the ``crossover fleet`` campaign cell calls this after its
@@ -273,14 +325,23 @@ class TelemetrySession:
             if value:
                 self.metrics.counter(f"fleet.{name}").inc(value)
 
-    def on_switchless_call(self, kind: str) -> None:
-        """The switchless engine diverted one call (``kind`` is
-        ``world`` or ``crossvm``)."""
+    def on_switchless_begin(self, kind: str, frm: Any, to: Any,
+                            cpu) -> None:
+        """The switchless engine diverted one call: ``kind`` ``world``
+        (``frm``/``to`` are WIDs) or ``crossvm`` (VM names)."""
         inc = self._switchless_counters.get(kind)
         if inc is None:
             inc = self._switchless_counters[kind] = self.metrics.counter(
                 "switchless.calls", kind=kind).inc
         inc()
+        args = ({"caller_wid": frm, "callee_wid": to} if kind == "world"
+                else {"frm": frm, "to": to})
+        self._open.append((self.tracer.open(
+            "switchless_call", category="switchless", cpu=cpu, **args),
+            cpu, 0))
+
+    def on_switchless_end(self, kind: str, cpu) -> None:
+        self._close()
 
     def on_switchless_stats(self, stats: Dict[str, int]) -> None:
         """Absorb a switchless engine's counters at a quiescent point —
@@ -290,7 +351,7 @@ class TelemetrySession:
             if value:
                 self.metrics.counter(f"switchless.{name}").inc(value)
 
-    def on_virq_injected(self, vector: int, vm_name: str) -> None:
+    def on_virq_inject(self, vector: int, vm_name: str) -> None:
         """The hypervisor injector queued one virtual interrupt."""
         key = (vector, vm_name)
         inc = self._virq_counters.get(key)
@@ -300,13 +361,11 @@ class TelemetrySession:
                 vm=vm_name).inc
         inc()
 
-    def redirect_span(self, system, op: str):
-        """Span (or ``None``) bracketing one redirected call.
+    def on_redirect_begin(self, system, op: str) -> None:
+        """A case-study system starts redirecting ``op``.
 
-        Counts the redirect always; returns a context manager only when
-        this call should be *spanned* — every call in tree mode, every
-        ``sample_every``-th call in ring mode.  Callers run the redirect
-        bare when this returns ``None``.
+        Counts the redirect always; *spans* it only in tree mode or,
+        in ring mode, every ``sample_every``-th call.
         """
         name = system.name
         variant = system.variant
@@ -316,14 +375,18 @@ class TelemetrySession:
             inc = self._redirect_counters[key] = self.metrics.counter(
                 "system.redirects", system=name, variant=variant).inc
         inc()
+        cpu = system.machine.cpu
         if self.span_ring is None:
-            return self.tracer.span(f"{name}.redirect", category="system",
-                                    cpu=system.machine.cpu, op=op,
-                                    variant=variant)
-        self._redirects_seen += 1
-        if self._redirects_seen % self.config.sample_every:
-            return None
-        return _RingSpan(self, system.machine.cpu, name, op, variant)
+            span = self.tracer.open(f"{name}.redirect", category="system",
+                                    cpu=cpu, op=op, variant=variant)
+        else:
+            self._redirects_seen += 1
+            span = (None if self._redirects_seen % self.config.sample_every
+                    else _RingSpan(self, cpu, name, op, variant))
+        self._open.append((span, cpu, 0))
+
+    def on_redirect_end(self, system, op: str) -> None:
+        self._close()
 
     def _observe_redirect_cycles(self, system: str, variant: str,
                                  cycles: int) -> None:
@@ -336,8 +399,22 @@ class TelemetrySession:
         observe(cycles)
 
     # ------------------------------------------------------------------
-    # worker merge (parallel sweeps)
+    # cells (the hook-bus protocol)
     # ------------------------------------------------------------------
+
+    def spawn(self, runner: str, args: tuple) -> "TelemetrySession":
+        """A session of the same config for one cell, its work wrapped
+        in one ``cell:<runner>`` span."""
+        child = TelemetrySession(f"cell:{runner}", self.config)
+        child._cell_span = child.tracer.open(
+            f"cell:{runner}", category="cell", runner=runner,
+            args=repr(args))
+        return child
+
+    def harvest(self) -> Dict[str, Any]:
+        self.tracer.close(self._cell_span)
+        self._cell_span = None
+        return self.to_dict()
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form of the whole session (picklable/JSON-able)."""
@@ -351,8 +428,8 @@ class TelemetrySession:
                      if self.span_ring is not None else None),
         }
 
-    def absorb(self, data: Dict[str, Any],
-               pid: Optional[int] = None) -> None:
+    def absorb(self, data: Dict[str, Any], runner: str = "",
+               args: tuple = (), pid: Optional[int] = None) -> None:
         """Merge a worker session's :meth:`to_dict` payload: counters
         and histograms add into the registry, span trees are adopted
         (tagged with the worker ``pid`` for the Chrome export), ring
@@ -373,76 +450,17 @@ class TelemetrySession:
             self.span_ring.absorb(ring_data)
 
 
-# ---------------------------------------------------------------------------
-# the process-global session switch
-# ---------------------------------------------------------------------------
-
-_session: Optional[TelemetrySession] = None
+install, uninstall, current, enabled, _scoped = _hooks.bind(
+    "telemetry", TelemetrySession)
 
 
-def current() -> Optional[TelemetrySession]:
-    """The installed session, or None."""
-    return _session
-
-
-def enabled() -> bool:
-    """Whether a telemetry session is installed."""
-    return _session is not None
-
-
-def install(session: Optional[TelemetrySession] = None) -> TelemetrySession:
-    """Install ``session`` (or a fresh one) as the process session."""
-    global _session
-    _session = session if session is not None else TelemetrySession()
-    return _session
-
-
-def uninstall() -> Optional[TelemetrySession]:
-    """Remove and return the installed session."""
-    global _session
-    session, _session = _session, None
-    return session
-
-
-@contextlib.contextmanager
 def scoped(label: str = "telemetry",
-           config: Optional[TelemetryConfig] = None
-           ) -> Iterator[TelemetrySession]:
-    """Install a fresh session for a ``with`` block, restoring whatever
-    was installed before::
+           config: Optional[TelemetryConfig] = None):
+    """Install a fresh :meth:`TelemetrySession.nested` session for a
+    ``with`` block, restoring whatever was installed before::
 
         with telemetry.scoped("trace-proxos") as session:
             run_workload()
         export.write_artifacts(session, outdir)
-
-    With no explicit ``config`` the new session inherits the *current*
-    session's config (so cells scoped inside a lightweight sweep stay
-    lightweight), falling back to the tree default.
     """
-    global _session
-    previous = _session
-    if config is None and previous is not None:
-        config = previous.config
-    _session = TelemetrySession(label, config)
-    try:
-        yield _session
-    finally:
-        _session = previous
-
-
-def transition_observer() -> Optional[Callable]:
-    """The installed session's transition hook (for
-    :class:`~repro.hw.trace.TransitionTrace` construction), or None."""
-    session = _session
-    return session.on_transition if session is not None else None
-
-
-def attach_machine(machine) -> None:
-    """(Re)bind every CPU trace of ``machine`` to the current session.
-
-    Machines built *while* a session is installed attach automatically;
-    this is for machines that predate the session (or to detach them
-    all when no session is installed)."""
-    observer = transition_observer()
-    for cpu in machine.cpus:
-        cpu.trace.observer = observer
+    return _scoped(TelemetrySession.nested(label, config))

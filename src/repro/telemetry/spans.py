@@ -242,10 +242,19 @@ class Tracer:
         clocks at entry and exit; without it the span carries wall-clock
         only.  The span is yielded so callers can attach late args.
         """
+        span = self.open(name, category, cpu, **args)
+        try:
+            yield span
+        finally:
+            self.close(span, cpu)
+
+    def open(self, name: str, category: str = "", cpu=None,
+             **args: Any) -> Optional[Span]:
+        """Open a span as the new innermost one; ``None`` when the
+        limit dropped it.  Pair with :meth:`close` (strictly nested)."""
         if self._recorded >= self._limit:
             self.dropped += 1
-            yield None
-            return
+            return None
         self._recorded += 1
         span = Span(name, category, args)
         span.start_wall_ns = (time.perf_counter_ns()
@@ -260,16 +269,19 @@ class Tracer:
         else:
             self.roots.append(span)
         self._stack.append(span)
-        try:
-            yield span
-        finally:
-            if cpu is not None:
-                span.end_cycles = cpu.perf.cycles
-                span.end_instructions = cpu.perf.instructions
-                span.end_seq = cpu.trace.mark
-            span.end_wall_ns = (time.perf_counter_ns()
-                                if self.capture_wall else span.start_wall_ns)
-            self._stack.pop()
+        return span
+
+    def close(self, span: Optional[Span], cpu=None) -> None:
+        """Close the innermost span ``span`` (no-op for ``None``)."""
+        if span is None:
+            return
+        if cpu is not None:
+            span.end_cycles = cpu.perf.cycles
+            span.end_instructions = cpu.perf.instructions
+            span.end_seq = cpu.trace.mark
+        span.end_wall_ns = (time.perf_counter_ns()
+                            if self.capture_wall else span.start_wall_ns)
+        self._stack.pop()
 
     def instant(self, name: str, seq: Optional[int] = None,
                 **args: Any) -> Optional[SpanEvent]:

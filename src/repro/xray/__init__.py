@@ -17,13 +17,12 @@ Two entry points:
   into :class:`~repro.fleet.scheduler.FleetScheduler`; the
   ``crossover xray`` subcommand (:mod:`repro.xray.campaign`) sweeps it into a
   schema-validated ``crossover-xray/v1`` artifact;
-* the **single-machine path** — the process-global
-  :class:`XraySession` below: when installed, ``core/call.py`` mints a
-  deterministic trace id per world call and (for sampled ids) attaches
-  it as the ``world_call.cycles`` histogram exemplar.  Uninstalled, the
-  hook is one ``is None`` check inside the already-telemetry-gated
-  branch — the same zero-cost-when-dormant discipline as every other
-  subsystem global here.
+* the **single-machine path** — the :class:`XraySession` below,
+  installed on the hook bus (kind ``xray``): the telemetry session's
+  ``call_end`` callback asks it for a deterministic trace id per
+  completed world call and (for sampled ids) attaches it as the
+  ``world_call.cycles`` histogram exemplar.  With no telemetry session
+  installed nothing consults it.
 
 Sampling everywhere is a seeded hash of the trace id (never ``random``
 or wall-clock), so artifacts are byte-identical at 1/2/4 pool workers
@@ -32,9 +31,9 @@ and 1/2/4 scheduler lanes.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from repro import hooks as _hooks
 from repro.xray.trace import (
     CONTENTION,
     DEFAULT_KEEP,
@@ -56,7 +55,7 @@ __all__ = [
 ]
 
 
-class XraySession:
+class XraySession(_hooks.Subscriber):
     """Single-machine trace-id minting for the world-call hot path.
 
     Each ``(caller wid, callee wid)`` edge gets its own sequence, so
@@ -94,51 +93,33 @@ class XraySession:
     def stats(self) -> Dict[str, int]:
         return {"issued": self.issued, "sampled": self.sampled}
 
+    # -- cells (the hook-bus protocol) ---------------------------------
 
-# ---------------------------------------------------------------------------
-# the process-global switch
-# ---------------------------------------------------------------------------
+    def spawn(self, runner: str, args: tuple) -> "XraySession":
+        return XraySession(self.seed, self.sample_every)
 
-_session: Optional[XraySession] = None
+    def harvest(self) -> Dict[str, Any]:
+        return {"issued": self.issued, "sampled": self.sampled,
+                "seqs": sorted(self._seqs.items())}
 
-
-def current() -> Optional[XraySession]:
-    """The installed session, or None."""
-    return _session
-
-
-def enabled() -> bool:
-    """Whether an xray session is installed."""
-    return _session is not None
-
-
-def install(session: Optional[XraySession] = None) -> XraySession:
-    """Install ``session`` (or a fresh one) process-wide."""
-    global _session
-    _session = session if session is not None else XraySession()
-    return _session
+    def absorb(self, payload: Dict[str, Any], runner: str = "",
+               args: tuple = (), pid: Optional[int] = None) -> None:
+        """Add a cell's counts; each edge's sequence continues past the
+        ids the cell issued."""
+        self.issued += payload["issued"]
+        self.sampled += payload["sampled"]
+        for edge, seq in payload["seqs"]:
+            edge = tuple(edge)
+            self._seqs[edge] = self._seqs.get(edge, 0) + seq
 
 
-def uninstall() -> Optional[XraySession]:
-    """Remove and return the installed session."""
-    global _session
-    session, _session = _session, None
-    return session
+install, uninstall, current, enabled, _scoped = _hooks.bind(
+    "xray", XraySession)
 
 
-@contextlib.contextmanager
-def scoped(session: Optional[XraySession] = None, *,
-           seed: int = 0,
-           sample_every: int = DEFAULT_SAMPLE_EVERY
-           ) -> Iterator[XraySession]:
-    """Install a session for a ``with`` block, restoring whatever was
-    installed before."""
-    global _session
-    previous = _session
-    if session is None:
-        session = XraySession(seed, sample_every)
-    _session = session
-    try:
-        yield session
-    finally:
-        _session = previous
+def scoped(session: Optional[XraySession] = None, *, seed: int = 0,
+           sample_every: int = DEFAULT_SAMPLE_EVERY):
+    """Install a session (or a fresh one) for a ``with`` block,
+    restoring whatever was installed before."""
+    return _scoped(session if session is not None
+                   else XraySession(seed, sample_every))

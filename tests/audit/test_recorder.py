@@ -41,7 +41,7 @@ def _world_call_harness():
 
 class TestInstallDiscipline:
     def test_disabled_by_default(self):
-        assert audit._recorder is None
+        assert audit.current() is None
         assert not audit.enabled()
         assert audit.current() is None
 
@@ -51,7 +51,7 @@ class TestInstallDiscipline:
             assert active is rec
             assert audit.enabled()
             assert audit.current() is rec
-        assert audit._recorder is None
+        assert audit.current() is None
 
     def test_install_latest_wins(self):
         first = audit.install(FlightRecorder("one"))
@@ -61,7 +61,7 @@ class TestInstallDiscipline:
             assert audit.current() is not first
         finally:
             audit.uninstall()
-        assert audit._recorder is None
+        assert audit.current() is None
 
     def test_bad_algorithm_rejected(self):
         with pytest.raises(ValueError):

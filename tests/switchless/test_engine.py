@@ -18,9 +18,9 @@ from repro.switchless.campaign import _WorldCallHarness, run_switchless_cell
 
 @pytest.fixture(autouse=True)
 def _no_leftover_engine():
-    assert sl._engine is None
+    assert sl.current() is None
     yield
-    assert sl._engine is None
+    assert sl.current() is None
 
 
 def _run_harness(engine, bursts=((50, 200_000), (50, 200_000))):
@@ -124,7 +124,7 @@ class TestStatsAndConfig:
     def test_clone_is_fresh(self):
         engine = SwitchlessEngine(SwitchlessConfig(mode="force"))
         engine.stats.calls = 7
-        clone = engine.clone()
+        clone = engine.spawn("cell", ())
         assert clone.config is engine.config
         assert clone.stats.calls == 0
         assert clone.policy is not engine.policy

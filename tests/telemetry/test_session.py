@@ -142,7 +142,7 @@ class TestWorkerMerge:
         specs = experiments.table4_specs(iterations=1)[:2]
         with telemetry.scoped("sweep") as session:
             cells = parallel.run_cells(specs, workers=2)
-        assert all(c.telemetry is not None for c in cells)
+        assert all("telemetry" in c.payloads for c in cells)
         names = [s.name for s in session.tracer.roots]
         assert names.count("cell:table4") == 2
         # Worker-side counters merged into the parent registry (the

@@ -165,7 +165,7 @@ class TestAuditSurface:
 
     def test_disabled_by_default_on_clean_import(self):
         from repro import audit
-        assert audit._recorder is None
+        assert audit.current() is None
         assert not audit.enabled()
 
     def test_audit_package_is_a_leaf(self):
@@ -225,7 +225,7 @@ class TestSwitchlessSurface:
 
     def test_disabled_by_default_on_clean_import(self):
         from repro import switchless
-        assert switchless._engine is None
+        assert switchless.current() is None
         assert not switchless.enabled()
         assert switchless.current() is None
         assert switchless.stats_dict() == {}
@@ -282,7 +282,7 @@ class TestObservatorySurface:
 
     def test_disabled_by_default_on_clean_import(self):
         from repro import observatory
-        assert observatory._session is None
+        assert observatory.current() is None
         assert not observatory.enabled()
         assert observatory.current() is None
 
@@ -342,8 +342,8 @@ class TestFleetSurface:
         install a module-global engine anywhere."""
         import repro.fleet  # noqa: F401
         from repro import faults, switchless, telemetry
-        assert switchless._engine is None
-        assert faults._engine is None
+        assert switchless.current() is None
+        assert faults.current() is None
         assert telemetry.current() is None
 
     def test_cell_runner_registered_lazily(self):
@@ -359,3 +359,41 @@ class TestFleetSurface:
         from repro.cli import build_parser, main
         assert callable(main)
         assert build_parser().prog == "crossover"
+
+
+class TestHookBusSurface:
+    """repro.hooks holds every subscriber; the hot layers import it at
+    module top, so it must be a leaf."""
+
+    def test_hooks_module_is_a_leaf(self):
+        """No import of any ``repro`` module, at module top or inside a
+        function."""
+        import ast
+        from repro import hooks
+        with open(hooks.__file__) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                if node.level:
+                    names.append(".")
+            for name in names:
+                assert not name.startswith(("repro", ".")), \
+                    f"hooks.py imports {name}"
+
+    def test_subsystem_switches_are_bindings_to_the_bus(self):
+        from repro import (audit, faults, hooks, observatory, switchless,
+                           telemetry, xray)
+        for kind, module in (("audit", audit), ("faults", faults),
+                             ("observatory", observatory),
+                             ("switchless", switchless),
+                             ("telemetry", telemetry), ("xray", xray)):
+            assert module.current() is None
+            assert not module.enabled()
+            with module.scoped() as subscriber:
+                assert hooks.current(kind) is subscriber
+                assert module.current() is subscriber
+            assert hooks.current(kind) is None
