@@ -1,31 +1,17 @@
 """Wall-clock benchmarking of the experiment sweeps (BENCH artifacts).
 
-Measures the host runtime of the Table-4 + Table-5 sweep in three
-configurations and checks they agree on every simulated number:
+Three modes, one per ``--mode``:
 
-* ``before`` — fast path disabled, serial: the seed's step-by-step
-  charging/marshaling/trace-recording code path;
-* ``after_serial`` — fast path enabled, serial;
-* ``after_parallel`` — fast path enabled, cells fanned over worker
-  processes (equal to serial on single-CPU hosts).
+* ``telemetry`` (default) — the telemetry subsystem's wall-clock cost
+  (BENCH_PR3), with an optional subprocess baseline from another
+  source tree (``--baseline-src``);
+* ``switchless`` — the three-way call-engine sweep (BENCH_PR7);
+* ``counters`` — every simulated number of a serial sweep as canonical
+  JSON; CI compares the Tables 4-7 dump byte for byte (``cmp``) with
+  the checked-in ``COUNTERS_TABLES.json``.
 
-Optionally (``seed_src=``), the sweep is also timed against an actual
-seed checkout's source tree in a subprocess, giving a true
-before-this-PR baseline rather than an in-process approximation.
-
-The artifact is JSON::
-
-    {
-      "host": {"cpus": 1, "python": "3.11.7"},
-      "tables": ["table4", "table5"],
-      "runs": {"before": {...}, "after_serial": {...}, ...},
-      "equivalent": true,
-      "speedup_serial": 2.6,
-      "speedup_best": 2.6,
-      "cache_stats": {...}
-    }
-
-Each run entry carries ``wall_seconds`` total plus per-table timings.
+Each run entry carries ``wall_seconds`` total plus per-table timings,
+and every mode checks its runs agree on every simulated number.
 """
 
 from __future__ import annotations
@@ -40,7 +26,7 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis import experiments, parallel
-from repro.core import convention, fastpath
+from repro.core import convention
 
 DEFAULT_TABLES: Tuple[str, ...] = ("table4", "table5")
 
@@ -85,8 +71,8 @@ def _run_parallel(tables: Tuple[str, ...],
 
 def _run_seed_baseline(seed_src: str, tables: Tuple[str, ...]
                        ) -> Optional[Dict[str, Any]]:
-    """Time the same sweep against another source tree (the seed
-    checkout), in a subprocess so the two trees cannot mix."""
+    """Time the same sweep against another source tree, in a subprocess
+    so the two trees cannot mix."""
     script = (
         "import gc, json, sys, time\n"
         "from repro.analysis import experiments\n"
@@ -119,60 +105,6 @@ def _strip_results(run: Dict[str, Any]) -> Dict[str, Any]:
     return {k: v for k, v in run.items() if k != "results"}
 
 
-def run_bench(tables: Tuple[str, ...] = DEFAULT_TABLES,
-              workers: Optional[int] = None,
-              seed_src: Optional[str] = None,
-              output: Optional[str] = None) -> Dict[str, Any]:
-    """Run the before/after sweep benchmark; optionally write JSON."""
-    convention.clear_caches()
-    with fastpath.scoped(False):
-        before = _run_serial(tables)
-    convention.clear_caches()
-    with fastpath.scoped(True):
-        after_serial = _run_serial(tables)
-    with fastpath.scoped(True):
-        after_parallel = _run_parallel(tables, workers)
-
-    equivalent = (before["results"] == after_serial["results"]
-                  == after_parallel["results"])
-
-    artifact: Dict[str, Any] = {
-        "host": {
-            "cpus": parallel.default_workers(),
-            "python": platform.python_version(),
-        },
-        "tables": list(tables),
-        "runs": {
-            "before": _strip_results(before),
-            "after_serial": _strip_results(after_serial),
-            "after_parallel": _strip_results(after_parallel),
-        },
-        "equivalent": equivalent,
-        "speedup_serial": round(
-            before["wall_seconds"] / after_serial["wall_seconds"], 3),
-        "speedup_best": round(
-            before["wall_seconds"]
-            / min(after_serial["wall_seconds"],
-                  after_parallel["wall_seconds"]), 3),
-        "cache_stats": dict(convention.cache_stats),
-    }
-
-    if seed_src is not None:
-        seed = _run_seed_baseline(seed_src, tables)
-        if seed is not None:
-            artifact["runs"]["seed"] = seed
-            artifact["speedup_vs_seed"] = round(
-                seed["wall_seconds"]
-                / min(after_serial["wall_seconds"],
-                      after_parallel["wall_seconds"]), 3)
-
-    if output is not None:
-        with open(output, "w") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return artifact
-
-
 def _best_of(repeats: int, run) -> Dict[str, Any]:
     """Repeat a timed sweep, keeping every sample and the fastest run's
     results (all runs are checked equal by the caller)."""
@@ -194,7 +126,7 @@ def run_telemetry_bench(tables: Tuple[str, ...] = DEFAULT_TABLES,
                         output: Optional[str] = None) -> Dict[str, Any]:
     """Measure the telemetry subsystem's wall-clock cost (BENCH_PR3).
 
-    Times the fast-path serial sweep in three configurations, best of
+    Times the serial sweep in three configurations, best of
     ``repeats`` each:
 
     * ``telemetry_disabled`` — no session installed: the dormant hooks
@@ -226,8 +158,7 @@ def run_telemetry_bench(tables: Tuple[str, ...] = DEFAULT_TABLES,
     from repro.telemetry import export as telemetry_export
 
     _gc_freeze()
-    with fastpath.scoped(True):
-        disabled = _best_of(repeats, lambda: _run_serial(tables))
+    disabled = _best_of(repeats, lambda: _run_serial(tables))
 
     def _lightweight_run() -> Dict[str, Any]:
         session = telemetry.install(
@@ -237,8 +168,7 @@ def run_telemetry_bench(tables: Tuple[str, ...] = DEFAULT_TABLES,
         finally:
             telemetry.uninstall()
 
-    with fastpath.scoped(True):
-        lightweight = _best_of(repeats, _lightweight_run)
+    lightweight = _best_of(repeats, _lightweight_run)
 
     session_holder: Dict[str, Any] = {}
 
@@ -249,8 +179,7 @@ def run_telemetry_bench(tables: Tuple[str, ...] = DEFAULT_TABLES,
         session_holder["digest"] = telemetry_export.metrics_digest(session)
         return result
 
-    with fastpath.scoped(True):
-        full = _best_of(repeats, _full_run)
+    full = _best_of(repeats, _full_run)
 
     artifact: Dict[str, Any] = {
         "host": {
@@ -330,9 +259,8 @@ def run_switchless_bench(seed: int = 0, iterations: int = 5,
 
     _gc_freeze()
     tables = ("mechanisms",)
-    with fastpath.scoped(True):
-        serial = _best_of(repeats, lambda: _run_serial(tables))
-        pooled = _best_of(repeats, lambda: _run_parallel(tables, workers))
+    serial = _best_of(repeats, lambda: _run_serial(tables))
+    pooled = _best_of(repeats, lambda: _run_parallel(tables, workers))
 
     t0 = time.perf_counter()
     campaign = _campaign.run_campaign(seed=seed, iterations=iterations)
@@ -391,17 +319,15 @@ def run_switchless_bench(seed: int = 0, iterations: int = 5,
 
 
 def dump_counters(tables: Tuple[str, ...] = DEFAULT_TABLES,
-                  fastpath_on: bool = True,
                   output: Optional[str] = None) -> str:
     """Dump every simulated number of a serial sweep as canonical JSON.
 
-    CI runs this twice — ``--fastpath off`` and ``--fastpath on`` — and
-    asserts the two files are byte-identical (``cmp``): stepwise and
-    fused charging checked end-to-end, outside any Python test harness.
+    CI dumps Tables 4-7 and compares the file byte for byte (``cmp``)
+    with the checked-in ``COUNTERS_TABLES.json``: every modeled number
+    checked end-to-end, outside any Python test harness.
     """
     convention.clear_caches()
-    with fastpath.scoped(fastpath_on):
-        run = _run_serial(tables)
+    run = _run_serial(tables)
     text = json.dumps(run["results"], indent=2, sort_keys=True) + "\n"
     if output is not None:
         with open(output, "w") as fh:
@@ -415,7 +341,7 @@ def main(argv=None) -> int:
     ``--mode telemetry`` (default) is the PR3 telemetry-overhead bench;
     ``--mode switchless`` produces the PR7 call-engine artifact;
     ``--mode counters`` dumps the sweep's simulated numbers for the CI
-    fast-path off/on ``cmp``.
+    ``cmp`` against ``COUNTERS_TABLES.json``.
     """
     import argparse
 
@@ -428,9 +354,6 @@ def main(argv=None) -> int:
                         help="a pre-telemetry checkout's src/ to time "
                         "as the true baseline (subprocess; telemetry "
                         "mode)")
-    parser.add_argument("--fastpath", default="on", choices=("on", "off"),
-                        help="counters mode: fused (on) or stepwise "
-                        "(off) charging")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0,
                         help="switchless mode: campaign workload seed")
@@ -442,10 +365,9 @@ def main(argv=None) -> int:
     tables = tuple(args.tables.split(","))
 
     if args.mode == "counters":
-        output = args.output or f"counters-fastpath-{args.fastpath}.json"
-        dump_counters(tables=tables, fastpath_on=args.fastpath == "on",
-                      output=output)
-        print(f"counters (fastpath {args.fastpath}) -> {output}")
+        output = args.output or "counters.json"
+        dump_counters(tables=tables, output=output)
+        print(f"counters ({args.tables}) -> {output}")
         return 0
 
     if args.mode == "switchless":

@@ -19,7 +19,6 @@ from repro.analysis.calibration import (
 )
 from repro.analysis.measure import (Measurement, measure_callable,
                                     measured_region)
-from repro.core import fastpath
 from repro.core.call import CallRequest, WorldCallRuntime
 from repro.core.world import WorldRegistry
 from repro.errors import ConfigurationError, GuestOSError
@@ -67,14 +66,12 @@ TABLE4_OPS: Dict[str, Tuple[str, int]] = {
 
 
 def _tune(machine: Machine) -> None:
-    """Fast-path tuning for experiment machines.
+    """Switch transition-trace recording off on a table machine.
 
-    The table runners never read the transition trace, so recording is
-    switched off when the fast path is on — that is what arms the fused
-    charge batches in the core (the figure runners, which *do* read the
+    The table runners never read the trace, so they skip building its
+    events and world labels (the figure runners, which *do* read the
     trace, keep it enabled).  Simulated counters are unaffected."""
-    if fastpath.enabled():
-        machine.cpu.trace.enabled = False
+    machine.cpu.trace.enabled = False
 
 
 def _surface_for(system_name: str, optimized: bool,

@@ -12,7 +12,6 @@ but who wins, by roughly what factor, must match).
 
 from __future__ import annotations
 
-import sys
 from typing import List, Optional
 
 from repro.analysis import experiments
@@ -243,26 +242,6 @@ def main_traced(args) -> int:
 
 def run(args) -> int:
     """Execute a parsed ``crossover report`` request."""
-    if args.bench:
-        from repro.analysis.bench import run_bench
-
-        artifact = run_bench(workers=args.workers,
-                             seed_src=args.bench_seed_src,
-                             output=args.bench)
-        runs = artifact["runs"]
-        print(f"before: {runs['before']['wall_seconds']}s  "
-              f"after(serial): {runs['after_serial']['wall_seconds']}s  "
-              f"after(parallel): {runs['after_parallel']['wall_seconds']}s")
-        if "seed" in runs:
-            print(f"seed baseline: {runs['seed']['wall_seconds']}s  "
-                  f"speedup vs seed: {artifact['speedup_vs_seed']}x")
-        elif args.bench_seed_src:
-            print(f"warning: seed baseline failed (is "
-                  f"{args.bench_seed_src!r} an importable source tree?); "
-                  "omitted from the artifact", file=sys.stderr)
-        print(f"equivalent: {artifact['equivalent']}  "
-              f"speedup: {artifact['speedup_best']}x  -> {args.bench}")
-        return 0 if artifact["equivalent"] else 1
     if args.parallel:
         global _PARALLEL_WORKERS
         _PARALLEL_WORKERS = args.workers or 0

@@ -562,12 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run only the named section(s)")
     report.add_argument("--parallel", action="store_true",
                         help="fan table sweeps over worker processes")
-    report.add_argument("--bench", metavar="PATH", default=None,
-                        help="run the before/after sweep benchmark and "
-                             "write the BENCH JSON artifact to PATH")
-    report.add_argument("--bench-seed-src", metavar="DIR", default=None,
-                        help="also time the sweep against another source "
-                             "tree (e.g. a seed checkout's src/)")
     report.add_argument("--telemetry", metavar="DIR", default=None,
                         help="collect telemetry while the report runs and "
                              "write trace/metrics/matrix/profile "

@@ -22,7 +22,6 @@ from collections import OrderedDict
 from typing import Any
 
 from repro import hooks as _hooks
-from repro.core import fastpath
 from repro.errors import GuestOSError, SimulationError
 from repro.guestos.fs.inode import InodeType, StatResult
 
@@ -89,7 +88,7 @@ def _from_wire(value: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# The marshaling cache (fast-path layer 1).
+# The marshaling cache (always on).
 #
 # Benchmarks call the same operations thousands of times with identical
 # payloads, so the dominant pattern is re-encoding a value already seen
@@ -104,9 +103,9 @@ def _from_wire(value: Any) -> Any:
 # ``GuestOSError``, whose instances must not be shared across raises)
 # the cache stores a frozen *template* that is thawed — rebuilt
 # container-by-container — on every hit, so no two callers ever alias.
-# The wire bytes produced are the exact ``repr`` the slow path would
-# emit, so simulated copy charges (which depend only on payload length)
-# are bit-identical.
+# The wire bytes produced are the exact uncached reference encoding
+# ``repr(_to_wire(value)).encode()``, so simulated copy charges (which
+# depend only on payload length) are bit-identical.
 # ---------------------------------------------------------------------------
 
 _CACHE_MAX = 4096
@@ -415,9 +414,10 @@ def poison_encode_cache() -> int:
 
 
 def encode(value: Any) -> bytes:
-    """Marshal ``value`` to its wire form."""
-    if not fastpath.enabled():
-        return repr(_to_wire(value)).encode()
+    """Marshal ``value`` to its wire form.
+
+    Memoized; the uncached reference encoding is
+    ``repr(_to_wire(value)).encode()``, byte for byte."""
     if type(value) in _SCALAR_TYPES:
         # Register-sized scalar fast path: the repr *is* the wire form,
         # no tagging walk and no cache bookkeeping needed.
@@ -454,12 +454,11 @@ def encode(value: Any) -> bytes:
 
 def decode(data: bytes) -> Any:
     """Unmarshal wire bytes (literal-eval only; never executes code)."""
-    if fastpath.enabled():
-        cached = _decode_cache.get(data)
-        if cached is not None:
-            _decode_cache.move_to_end(data)
-            cache_stats["decode_hits"] += 1
-            return _thaw(cached) if isinstance(cached, _Thaw) else cached
+    cached = _decode_cache.get(data)
+    if cached is not None:
+        _decode_cache.move_to_end(data)
+        cache_stats["decode_hits"] += 1
+        return _thaw(cached) if isinstance(cached, _Thaw) else cached
     try:
         text = data.decode()
         try:
@@ -469,11 +468,10 @@ def decode(data: bytes) -> Any:
         value = _from_wire(literal)
     except (ValueError, SyntaxError) as err:
         raise SimulationError(f"corrupt wire payload: {err}") from err
-    if fastpath.enabled():
-        cache_stats["decode_misses"] += 1
-        _decode_cache[bytes(data)] = _freeze(value)
-        if len(_decode_cache) > _CACHE_MAX:
-            _decode_cache.popitem(last=False)
+    cache_stats["decode_misses"] += 1
+    _decode_cache[bytes(data)] = _freeze(value)
+    if len(_decode_cache) > _CACHE_MAX:
+        _decode_cache.popitem(last=False)
     return value
 
 
@@ -489,9 +487,6 @@ def roundtrip(value: Any) -> "tuple[bytes, Any]":
     (:meth:`~repro.core.call.WorldCallRuntime._call` takes the separate
     encode/decode path whenever faults are armed).
     """
-    if not fastpath.enabled():
-        wire = encode(value)
-        return wire, decode(wire)
     t = type(value)
     if t in _SCALAR_TYPES:
         # Scalars are immutable and shareable: the repr is the wire form

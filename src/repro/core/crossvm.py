@@ -37,10 +37,9 @@ from collections import Counter
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import hooks as _hooks
-from repro.core import convention, fastpath
+from repro.core import convention
 from repro.errors import (ConfigurationError, GuestOSError, SimulationError,
                           VMFuncFault)
-from repro.hw import fused
 from repro.guestos.kernel import Kernel
 from repro.guestos.process import Process
 from repro.hw.cpu import Mode, Ring, VMFUNC_EPT_SWITCH
@@ -65,9 +64,12 @@ SHARED_PAGES = 20
 #: Size of the saved-context record the helper writes (regs + flags).
 _CONTEXT_SAVE_BYTES = 160
 
-#: Zero block written into the shared page as the saved context (hoisted
-#: off the fast path; the content is always the same).
+#: Zero block written into the shared page as the saved context (the
+#: content is always the same).
 _CTX_ZEROS = b"\x00" * _CONTEXT_SAVE_BYTES
+
+#: Where the length-prefixed calling info / returned buffer starts.
+_MSG_GVA = SHARED_GVA + _CONTEXT_SAVE_BYTES
 
 #: Sentinel: the mechanism seam declined and the default path should run.
 _NOT_ROUTED = object()
@@ -82,13 +84,9 @@ class _PairState:
         self.idt2 = idt2
         self.helpers = helpers          # vm name -> helper process
         self.calls = 0
-        #: Fast-path memos: whether the context-save block has been
-        #: zeroed once, and the per-half ``(fixed cost, events)`` pairs
-        #: with the copy event counts folded in (the copy *costs* vary
-        #: by payload size and are summed in per call).
+        #: Whether the context-save block has been written once; nothing
+        #: else ever touches those bytes, so later calls only charge it.
         self.ctx_zeroed = False
-        self.enter_fused: Optional[tuple] = None
-        self.return_fused: Dict[bool, tuple] = {}
 
 
 class CrossVMSyscallMechanism:
@@ -303,24 +301,20 @@ class CrossVMSyscallMechanism:
         saved_pt = cpu.page_table
         saved_idt = cpu.interrupts.idt
 
-        # The fused batches cannot model a VMFUNC that faults halfway;
-        # with a fault engine installed the dispatcher takes the
-        # step-by-step path so injected faults land between real steps.
-        if fastpath.enabled() and not cpu.trace.enabled and \
-                _hooks.faults is None:
-            return self._roundtrip_fused(state, from_vm, to_vm, request_obj,
-                                         server, saved_pt, saved_idt)
-
         # Step 2: enter the helper context.
         cpu.write_cr3(state.helper_pt)
         cpu.cli()
         cpu.install_idt(state.idt2)
 
         # Step 3: save context + calling info in the shared user page.
-        cpu.write_virt(memory, SHARED_GVA, b"\x00" * _CONTEXT_SAVE_BYTES)
+        if state.ctx_zeroed:
+            cpu.perf.charge("copy", cpu.cost_model.copy(_CONTEXT_SAVE_BYTES))
+        else:
+            cpu.write_virt(memory, SHARED_GVA, _CTX_ZEROS)
+            state.ctx_zeroed = True
         request = convention.encode(request_obj)
         self._check_fits(len(request))
-        cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
+        cpu.write_virt(memory, _MSG_GVA,
                        len(request).to_bytes(4, "big") + request)
         try:
             cpu.vmfunc(VMFUNC_EPT_SWITCH, to_vm.vm_id)
@@ -339,20 +333,16 @@ class CrossVMSyscallMechanism:
 
         # Step 4: we are now executing in to_vm's kernel context.
         cpu.sti()
-        header = cpu.read_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES, 4,
-                               charge=False)
-        body = cpu.read_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES + 4,
-                             int.from_bytes(header, "big"))
+        _read_back(cpu, request)
         try:
-            outcome = server(convention.decode(body))
+            outcome = server(convention.decode(request))
         except GuestOSError as err:
             outcome = err
 
         # Step 5: returned buffer into the shared page, switch back.
         reply = convention.encode(outcome)
         self._check_fits(len(reply))
-        cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
-                       len(reply).to_bytes(4, "big") + reply)
+        cpu.write_virt(memory, _MSG_GVA, len(reply).to_bytes(4, "big") + reply)
         cpu.cli()
         cpu.vmfunc(VMFUNC_EPT_SWITCH, from_vm.vm_id)
 
@@ -360,10 +350,7 @@ class CrossVMSyscallMechanism:
         if saved_idt is not None:
             cpu.install_idt(saved_idt)
         cpu.sti()
-        header = cpu.read_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES, 4,
-                               charge=False)
-        reply = cpu.read_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES + 4,
-                              int.from_bytes(header, "big"))
+        _read_back(cpu, reply)
         assert saved_pt is not None
         cpu.write_cr3(saved_pt)
         state.calls += 1
@@ -430,85 +417,20 @@ class CrossVMSyscallMechanism:
             raise outcome
         return outcome
 
-    def _roundtrip_fused(self, state: _PairState, from_vm: VirtualMachine,
-                         to_vm: VirtualMachine, request_obj: Any,
-                         server: Callable[[Any], Any], saved_pt: PageTable,
-                         saved_idt: Optional[IDT]) -> Any:
-        """The Figure-4 sequence with fused cost charging.
 
-        Performs the same state changes as :meth:`_roundtrip` but
-        applies each half's fixed charge sequence (copy events folded
-        in, variable-size copy costs summed per call) as one batch —
-        counters come out bit-identical to the step-by-step path.
+def _read_back(cpu, body: bytes) -> None:
+    """The reader's half of a shared-page handoff (steps 4 and 6).
 
-        Two further model-equivalences trim pure overhead: the shared
-        frames hand back exactly the bytes just written through the
-        peer mapping, so the read-backs reuse the writer's buffer
-        (lengths — and therefore copy charges — are identical), and
-        the zeroed context-save block is only written on a pair's
-        first call (nothing else ever touches those bytes).
-        """
-        cpu = self.machine.cpu
-        memory = self.machine.memory
-        cm = cpu.cost_model
-        perf = cpu.perf
-
-        # Steps 2-3: helper context, save area, calling info, switch.
-        cpu.write_cr3(state.helper_pt, charge=False)
-        cpu.cli(charge=False)
-        cpu.install_idt(state.idt2, charge=False)
-        if not state.ctx_zeroed:
-            cpu.write_virt(memory, SHARED_GVA, _CTX_ZEROS, charge=False)
-            state.ctx_zeroed = True
-        request = convention.encode(request_obj)
-        self._check_fits(len(request))
-        cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
-                       len(request).to_bytes(4, "big") + request,
-                       charge=False)
-        cpu.vmfunc(VMFUNC_EPT_SWITCH, to_vm.vm_id, charge=False)
-
-        # Step 4: in to_vm's kernel context.  The calling info in the
-        # shared page is byte-for-byte the buffer written above.
-        cpu.sti(charge=False)
-        ef = state.enter_fused
-        if ef is None:
-            rec = fused.crossvm_enter(cm, install_idt=True)
-            events = dict(rec.events)
-            events["copy"] = events.get("copy", 0) + 3
-            ef = state.enter_fused = (rec.cost, events)
-        perf.charge_batch(
-            ef[0] + cm.copy(_CONTEXT_SAVE_BYTES) + cm.copy(4 + len(request))
-            + cm.copy(len(request)),
-            ef[1])
-        try:
-            outcome = server(convention.decode(request))
-        except GuestOSError as err:
-            outcome = err
-
-        # Steps 5-6: returned buffer, switch back, restore VM1 context.
-        reply = convention.encode(outcome)
-        self._check_fits(len(reply))
-        cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
-                       len(reply).to_bytes(4, "big") + reply, charge=False)
-        cpu.cli(charge=False)
-        cpu.vmfunc(VMFUNC_EPT_SWITCH, from_vm.vm_id, charge=False)
-        restore_idt = saved_idt is not None
-        if restore_idt:
-            cpu.install_idt(saved_idt, charge=False)
-        cpu.sti(charge=False)
-        cpu.write_cr3(saved_pt, charge=False)
-        rf = state.return_fused.get(restore_idt)
-        if rf is None:
-            rec = fused.crossvm_return(cm, restore_idt=restore_idt)
-            events = dict(rec.events)
-            events["copy"] = events.get("copy", 0) + 2
-            rf = state.return_fused[restore_idt] = (rec.cost, events)
-        perf.charge_batch(rf[0] + cm.copy(4 + len(reply))
-                          + cm.copy(len(reply)),
-                          rf[1])
-        state.calls += 1
-
-        result = convention.decode(reply)
-        if isinstance(result, GuestOSError):
-            raise result
-        return result
+    The writer just stored ``len(body)`` + ``body`` at :data:`_MSG_GVA`
+    through the same shared frames, so the bytes read back are ``body``
+    itself.  The read is still modeled: the range is translated in the
+    reader's context (an unmapped or non-readable shared frame faults
+    here exactly as a real load would), the 4-byte header is free and
+    the body is charged as one copy.
+    """
+    end = _MSG_GVA + 4 + len(body)
+    page = _MSG_GVA & ~(PAGE_SIZE - 1)
+    while page < end:
+        cpu.translate(max(page, _MSG_GVA))
+        page += PAGE_SIZE
+    cpu.perf.charge("copy", cpu.cost_model.copy(len(body)))

@@ -266,12 +266,10 @@ def run_fault_cell(system: str, site_name: str, ops: int, seed: int,
     its own machine and fault engine, so it runs identically in-process
     or inside a fork worker."""
     from repro.audit import detectors as audit_detectors
-    from repro.core import convention, fastpath
+    from repro.core import convention
 
     site = SITES[site_name]
     convention.clear_caches()
-    was_fast = fastpath.enabled()
-    fastpath.enable()
     plan = seeded_plan(site_name, seed, key=f"{system}:{site_name}",
                        ops=ops, fires=max(1, ops // 2))
     outcomes = {label: 0 for label in OUTCOMES}
@@ -318,8 +316,6 @@ def run_fault_cell(system: str, site_name: str, ops: int, seed: int,
             recoveries = cell.recoveries()
             legacy = cell.legacy_count()
     finally:
-        if not was_fast:
-            fastpath.disable()
         convention.clear_caches()
     # Blind detection pass: bracket 0 (cold warm-up) is exempt, the
     # steady-state warm-up op is the explicit drift baseline, and the

@@ -187,15 +187,13 @@ class _CalibrationHarness:
 def calibrate_costs(mechanism: str) -> MechanismCosts:
     """Measure one mechanism's stage costs on a fresh machine."""
     from repro import hooks as _hooks
-    from repro.core import convention, fastpath
+    from repro.core import convention
     from repro.switchless import SwitchlessConfig, SwitchlessEngine
 
     if mechanism not in MECHANISMS:
         raise SimulationError(f"unknown mechanism {mechanism!r}; "
                               f"choose from {MECHANISMS}")
     convention.clear_caches()
-    was_fast = fastpath.enabled()
-    fastpath.enable()
     engine = None
     if mechanism == "switchless":
         engine = SwitchlessEngine(SwitchlessConfig(mode="force", workers=1))
@@ -239,8 +237,6 @@ def calibrate_costs(mechanism: str) -> MechanismCosts:
         )
     finally:
         _hooks.install("switchless", previous)
-        if not was_fast:
-            fastpath.disable()
         convention.clear_caches()
 
 

@@ -44,8 +44,7 @@ class Scheduler:
                     return proc
         return candidates[0]
 
-    def switch_to(self, proc: Process, detail: str = "",
-                  charge: bool = True) -> None:
+    def switch_to(self, proc: Process, detail: str = "") -> None:
         """Context-switch the CPU to ``proc`` (must be called at CPL 0)."""
         kernel = self.kernel
         if not proc.alive:
@@ -55,7 +54,7 @@ class Scheduler:
             return
         kernel.cpu.context_switch(
             proc.page_table, detail or f"{getattr(previous, 'name', '?')} "
-            f"-> {proc.name}", charge=charge)
+            f"-> {proc.name}")
         if previous is not None and previous.alive:
             previous.state = "ready"
         proc.state = "running"

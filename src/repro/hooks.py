@@ -52,7 +52,6 @@ Callbacks = Tuple[Callable[..., Any], ...]
 # The events, each with its one callback signature.
 # hw
 transition: Callbacks = ()          # (event: TransitionEvent)
-fused: Callbacks = ()               # (record: FusedCharge)
 world_call_issue: Callbacks = ()    # (cpu_id)
 world_call_hw: Callbacks = ()       # (caller_wid, callee_wid, *, frm,
 #                                      to, mode, ring, cycles)

@@ -162,12 +162,8 @@ class CPU:
     # native ring transitions
     # ------------------------------------------------------------------
 
-    def syscall_trap(self, detail: str = "", charge: bool = True) -> None:
-        """SYSCALL: user -> kernel within the current address space.
-
-        ``charge=False`` performs the ring switch without charging (the
-        caller is applying the cost as part of a fused batch).
-        """
+    def syscall_trap(self, detail: str = "") -> None:
+        """SYSCALL: user -> kernel within the current address space."""
         if self.ring != _RING_USER:
             self.require_ring(_RING_USER, "syscall")
         if self.trace.enabled:
@@ -176,10 +172,9 @@ class CPU:
             self.transition("syscall_trap", frm, self.world_label, detail)
         else:
             self.ring = _RING_KERNEL
-            if charge:
-                self.perf.charge("syscall_trap", self.cost_model.syscall_trap)
+            self.perf.charge("syscall_trap", self.cost_model.syscall_trap)
 
-    def sysret(self, detail: str = "", charge: bool = True) -> None:
+    def sysret(self, detail: str = "") -> None:
         """SYSRET: kernel -> user within the current address space."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "sysret")
@@ -189,11 +184,9 @@ class CPU:
             self.transition("sysret", frm, self.world_label, detail)
         else:
             self.ring = _RING_USER
-            if charge:
-                self.perf.charge("sysret", self.cost_model.sysret)
+            self.perf.charge("sysret", self.cost_model.sysret)
 
-    def iret_to_ring(self, ring: int, detail: str = "",
-                     charge: bool = True) -> None:
+    def iret_to_ring(self, ring: int, detail: str = "") -> None:
         """IRET-style return to an arbitrary ring (used by injectors)."""
         self.require_ring(_RING_KERNEL, "iret")
         if self.trace.enabled:
@@ -203,8 +196,7 @@ class CPU:
                             detail or "iret")
         else:
             self.ring = int(ring)
-            if charge:
-                self.perf.charge("sysret", self.cost_model.sysret)
+            self.perf.charge("sysret", self.cost_model.sysret)
 
     # ------------------------------------------------------------------
     # control registers, IDT, interrupt flag
@@ -223,32 +215,28 @@ class CPU:
             self.trace.record("cr3_write", self.world_label,
                               self.world_label, detail)
 
-    def install_idt(self, idt: IDT, charge: bool = True) -> None:
+    def install_idt(self, idt: IDT) -> None:
         """LIDT; privileged."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "lidt")
         self.interrupts.install(idt)
-        if charge:
-            self.perf.charge("idt_switch", self.cost_model.idt_switch)
+        self.perf.charge("idt_switch", self.cost_model.idt_switch)
 
-    def cli(self, charge: bool = True) -> None:
+    def cli(self) -> None:
         """Disable interrupts; privileged."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "cli")
         self.interrupts.disable()
-        if charge:
-            self.perf.charge("int_toggle", self.cost_model.int_toggle)
+        self.perf.charge("int_toggle", self.cost_model.int_toggle)
 
-    def sti(self, charge: bool = True) -> None:
+    def sti(self) -> None:
         """Enable interrupts; privileged."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "sti")
         self.interrupts.enable()
-        if charge:
-            self.perf.charge("int_toggle", self.cost_model.int_toggle)
+        self.perf.charge("int_toggle", self.cost_model.int_toggle)
 
-    def deliver_irq(self, vector: int, detail: str = "",
-                    charge: bool = True) -> None:
+    def deliver_irq(self, vector: int, detail: str = "") -> None:
         """Vector an interrupt through the current IDT (to CPL 0)."""
         if not self.interrupts.interrupts_enabled:
             raise SimulationError(
@@ -261,11 +249,9 @@ class CPU:
                             cost=self.cost_model.irq_vector)
         else:
             self.ring = _RING_KERNEL
-            if charge:
-                self.perf.charge("irq_deliver", self.cost_model.irq_vector)
+            self.perf.charge("irq_deliver", self.cost_model.irq_vector)
 
-    def context_switch(self, page_table: PageTable, detail: str = "",
-                       charge: bool = True) -> None:
+    def context_switch(self, page_table: PageTable, detail: str = "") -> None:
         """In-kernel process context switch (scheduler path)."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "context switch")
@@ -279,16 +265,14 @@ class CPU:
             self.page_table = page_table
             self.tlb.on_cr3_write(page_table.root)
             self._current_wid = None
-            if charge:
-                self.perf.charge("context_switch",
-                                 self.cost_model.context_switch)
+            self.perf.charge("context_switch",
+                             self.cost_model.context_switch)
 
     # ------------------------------------------------------------------
     # VMX transitions (primitives; the hypervisor orchestrates them)
     # ------------------------------------------------------------------
 
-    def vmexit(self, reason: str, detail: str = "",
-               charge: bool = True) -> None:
+    def vmexit(self, reason: str, detail: str = "") -> None:
         """Guest -> host transition; saves guest state into the VMCS."""
         self.require_non_root("vm exit")
         if self.current_vmcs is None:
@@ -305,11 +289,9 @@ class CPU:
             vmcs.save_guest(self)
             vmcs.exit_reason = reason
             vmcs.load_host(self)
-            if charge:
-                self.perf.charge("vmexit", self.cost_model.vmexit)
+            self.perf.charge("vmexit", self.cost_model.vmexit)
 
-    def vmentry(self, vmcs: "VMCS", detail: str = "",
-                charge: bool = True) -> None:
+    def vmentry(self, vmcs: "VMCS", detail: str = "") -> None:
         """Host -> guest transition; loads guest state from the VMCS."""
         self.require_root("vm entry")
         if self.ring != _RING_KERNEL:
@@ -324,15 +306,13 @@ class CPU:
             vmcs.save_host(self)
             vmcs.load_guest(self)
             self.current_vmcs = vmcs
-            if charge:
-                self.perf.charge("vmentry", self.cost_model.vmentry)
+            self.perf.charge("vmentry", self.cost_model.vmentry)
 
     # ------------------------------------------------------------------
     # VMFUNC (fn 0) and the CrossOver extension (fns 0x1 / 0x2)
     # ------------------------------------------------------------------
 
-    def vmfunc(self, function: int, argument: int = 0,
-               charge: bool = True) -> Optional[int]:
+    def vmfunc(self, function: int, argument: int = 0) -> Optional[int]:
         """Execute VMFUNC.
 
         * fn 0x0 — EPTP switch (requires VT-x VMFUNC support; non-root
@@ -347,12 +327,12 @@ class CPU:
             _hooks.faults.fire("hw.vmfunc", cpu=self, function=function,
                                argument=argument)
         if function == VMFUNC_EPT_SWITCH:
-            return self._vmfunc_ept_switch(argument, charge)
+            return self._vmfunc_ept_switch(argument)
         if function == VMFUNC_WORLD_CALL:
             return self._world_call(argument)
         raise VMFuncFault(f"unsupported VMFUNC index {function:#x}")
 
-    def _vmfunc_ept_switch(self, index: int, charge: bool = True) -> None:
+    def _vmfunc_ept_switch(self, index: int) -> None:
         if not self.features.vmfunc:
             raise InvalidOpcode("VMFUNC not supported by this processor")
         self.require_non_root("VMFUNC")
@@ -376,9 +356,8 @@ class CPU:
             if target.label:
                 self.vm_name = target.label
             self.tlb.on_ept_switch(target.eptp)
-            if charge:
-                self.perf.charge("vmfunc_ept_switch",
-                                 self.cost_model.vmfunc_ept_switch)
+            self.perf.charge("vmfunc_ept_switch",
+                             self.cost_model.vmfunc_ept_switch)
         for fn in _hooks.ept_switch:
             fn(index, self.world_label, self.ring, self.perf.cycles)
 
@@ -396,7 +375,7 @@ class CPU:
                 "world_call requires the CrossOver extension")
         self.charge("world_call_hw")
         # Observers see the hardware datapath itself (not just the
-        # transition trace, which may be disabled on the fast path).
+        # transition trace, which table runs switch off).
         # Observation never charges: modeled counters stay bit-identical.
         for fn in _hooks.world_call_issue:
             fn(self.cpu_id)
@@ -560,13 +539,11 @@ class CPU:
             self.perf.charge("copy", self.cost_model.copy(length))
         return bytes(out)
 
-    def write_virt(self, memory, gva: int, data: bytes,
-                   charge: bool = True) -> None:
+    def write_virt(self, memory, gva: int, data: bytes) -> None:
         """Write bytes at a virtual address in the current context."""
         if data and (gva & 0xFFF) + len(data) <= 4096:
             memory.write(self.translate(gva, write=True), data)
-            if charge:
-                self.perf.charge("copy", self.cost_model.copy(len(data)))
+            self.perf.charge("copy", self.cost_model.copy(len(data)))
             return
         addr = gva
         view = memoryview(data)
@@ -576,5 +553,5 @@ class CPU:
             memory.write(hpa, bytes(view[:chunk]))
             addr += chunk
             view = view[chunk:]
-        if charge and data:
+        if data:
             self.perf.charge("copy", self.cost_model.copy(len(data)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro import hooks as _hooks
 from repro import observatory as _observatory
@@ -19,9 +19,7 @@ from repro.hw.costs import Cost, us
 
 #: Event kinds that count as a *world switch* in the paper's terminology:
 #: any ring crossing, host/guest mode switch, or address-space switch.
-#: :meth:`PerfDelta.world_switches` sums these, and the fused-charging
-#: layer (:mod:`repro.hw.fused`) classifies its batched events with the
-#: same constant so the two can never drift.
+#: :meth:`PerfDelta.world_switches` sums these.
 WORLD_SWITCH_KINDS = frozenset({
     "syscall_trap", "sysret", "vmexit", "vmentry",
     "vmfunc_ept_switch", "world_call", "world_call_hw",
@@ -106,23 +104,6 @@ class PerfCounters:
         self.instructions += cost.instructions
         self.cycles += cost.cycles
         self.events[kind] += 1
-        if self.cycles >= self._obs_next:
-            _observatory._boundary(self)
-
-    def charge_batch(self, cost: Cost, events: Mapping[str, int]) -> None:
-        """Apply a pre-summed cost plus its per-event counts in one call.
-
-        The fast-path engine fuses the fixed charge sequence of a call
-        shape (e.g. syscall trap + dispatch, or a full cross-VM round
-        trip) into a single aggregate ``cost`` with exact ``events``
-        counts — the counters end up bit-identical to charging each
-        primitive individually.
-        """
-        self.instructions += cost.instructions
-        self.cycles += cost.cycles
-        counters = self.events
-        for kind, count in events.items():
-            counters[kind] += count
         if self.cycles >= self._obs_next:
             _observatory._boundary(self)
 

@@ -10,14 +10,15 @@ injection, recovery, audit denial) to the window they happened in — so
 a jump in cycles/call is attributable to the event that preceded it.
 
 Mechanics.  :class:`~repro.hw.perf.PerfCounters` carries a
-next-boundary threshold; ``charge``/``charge_batch`` compare the cycle
-accumulator against it — one attribute read and one integer compare
-when dormant.  The observatory is the ``observatory`` subscriber of
-the hook bus (:mod:`repro.hooks`): its ``perf_zeroed`` callback arms
-every counter built or reset while it is installed, and the
-``_obs_next`` threshold is its per-charge seam.  When the threshold
-trips, the observatory advances its
-cumulative clock, re-arms the threshold, and takes one sample: the
+next-boundary threshold; ``charge`` compares the cycle accumulator
+against it — one attribute read and one integer compare when dormant.
+Every charge is one modeled primitive, so a window boundary lands on
+the primitive that crosses it.  The observatory is the
+``observatory`` subscriber of the hook bus (:mod:`repro.hooks`): its
+``perf_zeroed`` callback arms every counter built or reset while it is
+installed, and the ``_obs_next`` threshold is its per-charge seam.
+When the threshold trips, the observatory advances its cumulative
+clock, re-arms the threshold, and takes one sample: the
 current registry snapshot (when a telemetry session is installed) and
 the live subsystem stat taps, differenced against the previous sample.
 Because the clock is modeled and every sampled value is modeled, the

@@ -46,23 +46,22 @@ def record(window_cycles: int = _observatory.DEFAULT_WINDOW_CYCLES,
            objectives: Optional[List[Any]] = None) -> Dict[str, Any]:
     """Run the standard recording and build the artifact dict."""
     from repro.analysis import parallel
-    from repro.core import convention, fastpath
+    from repro.core import convention
     from repro.switchless import campaign  # noqa: F401 (registers
     #                                        the switchlesscell runner)
 
     # Same determinism discipline as the bench harness: warm the calling
-    # convention cache from a known-empty state, fast path on.
+    # convention cache from a known-empty state.
     convention.clear_caches()
     session = telemetry.TelemetrySession.lightweight(LABEL)
     config = _observatory.ObservatoryConfig(window_cycles=window_cycles)
-    with fastpath.scoped(True):
-        telemetry.install(session)
-        try:
-            with _observatory.scoped(label=LABEL, config=config) as obs:
-                parallel.run_cells(_record_specs(iterations, demo),
-                                   workers=workers)
-        finally:
-            telemetry.uninstall()
+    telemetry.install(session)
+    try:
+        with _observatory.scoped(label=LABEL, config=config) as obs:
+            parallel.run_cells(_record_specs(iterations, demo),
+                               workers=workers)
+    finally:
+        telemetry.uninstall()
     return build_artifact(obs, objectives or [])
 
 

@@ -114,7 +114,7 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
     one transport.  Self-contained (fresh machine + engine), so it runs
     identically in-process or inside a fork worker."""
     from repro import hooks as _hooks
-    from repro.core import convention, fastpath
+    from repro.core import convention
     from repro.switchless import SwitchlessConfig, SwitchlessEngine
 
     if workload not in WORKLOADS:
@@ -124,8 +124,6 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
         raise ValueError(f"unknown mechanism {mechanism!r}; "
                          f"choose from {MECHANISMS}")
     convention.clear_caches()
-    was_fast = fastpath.enabled()
-    fastpath.enable()
     engine = None
     if mechanism == "switchless":
         engine = SwitchlessEngine(SwitchlessConfig(mode="force",
@@ -164,8 +162,6 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
         return cell
     finally:
         _hooks.install("switchless", previous)
-        if not was_fast:
-            fastpath.disable()
         convention.clear_caches()
 
 

@@ -14,8 +14,8 @@ subscriber of the hook bus (:mod:`repro.hooks`); its ``on_*`` methods
 are the bus callbacks.  Instrumented code reads one event tuple and
 does *nothing else* while no session is installed, so:
 
-* with telemetry **off**, the hooks are a dead branch: fast-path
-  equivalence and all modeled counters are untouched;
+* with telemetry **off**, the hooks are a dead branch: all modeled
+  counters are untouched;
 * with telemetry **on**, collection only ever *reads* the perf
   counters and the trace — it never charges, so modeled instructions,
   cycles, per-event counts and world switches stay **bit-identical**
@@ -151,9 +151,6 @@ class TelemetrySession(_hooks.Subscriber):
         # Pre-bound unlabeled counters (one attribute call per hit).
         metrics = self.metrics
         self._inc_world_switches = metrics.counter("trace.world_switches").inc
-        self._inc_fused_batches = metrics.counter("fused.batches").inc
-        self._inc_fused_switches = metrics.counter(
-            "fused.world_switches").inc
         # Bound-``inc`` caches for the labeled hot-path counters, keyed
         # by plain tuples (no sort, no stringification per call).
         self._kind_counters: Dict[str, Callable] = {}
@@ -219,14 +216,9 @@ class TelemetrySession(_hooks.Subscriber):
                                 cycles=event.cycles,
                                 instructions=event.instructions)
 
-    def on_fused(self, record) -> None:
-        """One :class:`~repro.hw.fused.FusedCharge` batch was applied."""
-        self._inc_fused_batches()
-        self._inc_fused_switches(record.world_switches)
-
     def on_world_call_issue(self, cpu_id: int) -> None:
         """The hardware ``world_call`` datapath ran (the transition
-        trace may be off on the fast path; this is not)."""
+        trace may be off; this is not)."""
         self.metrics.counter("hw.world_call", cpu=cpu_id).inc()
 
     def on_wt_miss(self, cache: str, cpu_id: int) -> None:
@@ -281,7 +273,7 @@ class TelemetrySession(_hooks.Subscriber):
     def on_crossvm_begin(self, frm: str, to: str, cycles: int,
                          cpu) -> None:
         """A Figure-4 cross-VM round trip started (one span per round
-        trip, covering the fused path too)."""
+        trip)."""
         key = (frm, to)
         inc = self._crossvm_counters.get(key)
         if inc is None:

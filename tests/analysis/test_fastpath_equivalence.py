@@ -1,15 +1,18 @@
-"""Golden equivalence: the fast path must change wall-clock only.
+"""Golden equivalence: trace recording must change wall-clock only.
 
-For every Table-4 measurement (every system x variant x op, plus
-native), the fast-path engine — marshaling cache, fused cost charging,
-trace-off machines — must produce *identical* instructions, cycles, and
-per-event counts to the seed's step-by-step path.
+There is one charging path.  The two CPU models that remain
+independent are the trace-recording transitions (world labels built,
+one :class:`~repro.hw.trace.TransitionEvent` per crossing) and the
+label-free ones the table runners take.  For every Table-4 measurement
+(every system x variant x op, plus native) both must produce
+*identical* instructions, cycles, and per-event counts, starting from
+an empty marshaling cache each time.
 """
 
 import pytest
 
 from repro.analysis import experiments, parallel
-from repro.core import convention, fastpath
+from repro.core import convention
 
 from tests.core.test_marshal_hoist import _build_worldcall_harness
 
@@ -19,12 +22,14 @@ COLUMNS = [(None, False)] + [(name, optimized)
                              for optimized in (False, True)]
 
 
-def _column_deltas(system_name, optimized, iterations=3):
+def _column_deltas(system_name, optimized, iterations=3, trace=False):
     """Raw per-op counter deltas for one Table-4 column."""
+    convention.clear_caches()
     if system_name is None:
         surface = experiments._native_surface()
     else:
         surface = experiments._surface_for(system_name, optimized)
+    experiments._machine_of(surface).cpu.trace.enabled = trace
     out = {}
     for op, (method, divisor) in experiments.TABLE4_OPS.items():
         m = experiments._measure_op(surface, method, divisor, iterations)
@@ -38,55 +43,57 @@ class TestTable4Golden:
                              ids=[f"{n or 'native'}-{'opt' if o else 'orig'}"
                                   for n, o in COLUMNS])
     def test_counters_identical(self, system_name, optimized):
-        convention.clear_caches()
-        with fastpath.scoped(False):
-            slow = _column_deltas(system_name, optimized)
-        with fastpath.scoped(True):
-            fast = _column_deltas(system_name, optimized)
-        for op in slow:
-            s_insns, s_cycles, s_events = slow[op]
-            f_insns, f_cycles, f_events = fast[op]
-            assert f_insns == s_insns, (op, "instructions")
-            assert f_cycles == s_cycles, (op, "cycles")
-            assert f_events == s_events, (op, "events")
+        traced = _column_deltas(system_name, optimized, trace=True)
+        plain = _column_deltas(system_name, optimized, trace=False)
+        for op in traced:
+            t_insns, t_cycles, t_events = traced[op]
+            p_insns, p_cycles, p_events = plain[op]
+            assert p_insns == t_insns, (op, "instructions")
+            assert p_cycles == t_cycles, (op, "cycles")
+            assert p_events == t_events, (op, "events")
 
 
 class TestMergedResults:
-    def test_run_table4_identical(self):
-        with fastpath.scoped(False):
-            slow = experiments.run_table4(iterations=2)
-        with fastpath.scoped(True):
-            fast = experiments.run_table4(iterations=2)
-        assert slow == fast
+    """Whole runners, with ``experiments._tune`` (which switches the
+    trace off on every table machine) stubbed out for the traced run."""
 
-    def test_table5_cell_identical(self):
-        with fastpath.scoped(False):
-            slow = experiments.table5_cell("uptime")
-        with fastpath.scoped(True):
-            fast = experiments.table5_cell("uptime")
-        assert slow == fast
+    def test_run_table4_identical(self, monkeypatch):
+        convention.clear_caches()
+        plain = experiments.run_table4(iterations=2)
+        convention.clear_caches()
+        monkeypatch.setattr(experiments, "_tune", lambda machine: None)
+        traced = experiments.run_table4(iterations=2)
+        assert traced == plain
+
+    def test_table5_cell_identical(self, monkeypatch):
+        convention.clear_caches()
+        plain = experiments.table5_cell("uptime")
+        convention.clear_caches()
+        monkeypatch.setattr(experiments, "_tune", lambda machine: None)
+        traced = experiments.table5_cell("uptime")
+        assert traced == plain
 
 
 class TestWorldCallMicroflow:
     """The bare runtime with no system around it: a hot world-call
-    round trip returns the same results and counters stepwise and
-    fused."""
+    round trip returns the same results and counters with the trace
+    recording and without."""
 
-    def _roundtrip_counters(self, fast, calls=24):
+    def _roundtrip_counters(self, trace, calls=24):
         machine, runtime, caller, callee = _build_worldcall_harness(
             lambda request: ("pong", request.payload))
         convention.clear_caches()
-        with fastpath.scoped(fast), machine.cpu.trace.scoped(False):
+        with machine.cpu.trace.scoped(trace):
             results = [runtime.call(caller, callee.wid, ("ping", i))
                        for i in range(calls)]
         perf = machine.cpu.perf
         return results, (perf.instructions, perf.cycles, dict(perf.events))
 
     def test_worldcall_roundtrip_identical(self):
-        slow_results, slow_counters = self._roundtrip_counters(False)
-        fast_results, fast_counters = self._roundtrip_counters(True)
-        assert fast_results == slow_results
-        assert fast_counters == slow_counters
+        traced_results, traced_counters = self._roundtrip_counters(True)
+        plain_results, plain_counters = self._roundtrip_counters(False)
+        assert plain_results == traced_results
+        assert plain_counters == traced_counters
 
 
 class TestParallelRunner:

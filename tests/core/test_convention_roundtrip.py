@@ -1,13 +1,13 @@
 """Property-style round-trip tests for the marshaling convention.
 
-The fast-path marshaling cache must be invisible: for every payload,
-``decode(encode(v)) == v`` with the cache on, off, and warm, and the
-wire bytes must be identical either way.
+The always-on marshaling cache must be invisible: for every payload,
+``decode(encode(v)) == v`` cold and warm, and the wire bytes must equal
+the uncached reference encoding ``repr(_to_wire(v)).encode()``.
 """
 
 import pytest
 
-from repro.core import convention, fastpath
+from repro.core import convention
 from repro.errors import GuestOSError, SimulationError
 from repro.guestos.fs.inode import InodeType, StatResult
 
@@ -31,6 +31,11 @@ PAYLOADS = [
 ]
 
 
+def _reference_encode(value):
+    """The uncached reference encoding the cache must reproduce."""
+    return repr(convention._to_wire(value)).encode()
+
+
 def _eq(a, b):
     """Equality that also distinguishes GuestOSError payloads."""
     if isinstance(a, GuestOSError):
@@ -48,30 +53,26 @@ def _eq(a, b):
 class TestRoundTripProperty:
     @pytest.mark.parametrize("value", PAYLOADS)
     def test_round_trip_fast(self, value):
-        with fastpath.scoped(True):
-            assert _eq(convention.decode(convention.encode(value)), value)
+        assert _eq(convention.decode(convention.encode(value)), value)
 
     @pytest.mark.parametrize("value", PAYLOADS)
     def test_round_trip_slow(self, value):
-        with fastpath.scoped(False):
-            assert _eq(convention.decode(convention.encode(value)), value)
+        """The reference wire decodes back from a cold cache."""
+        convention.clear_caches()
+        assert _eq(convention.decode(_reference_encode(value)), value)
 
     @pytest.mark.parametrize("value", PAYLOADS)
     def test_wire_bytes_identical_fast_vs_slow(self, value):
         convention.clear_caches()
-        with fastpath.scoped(False):
-            slow_wire = convention.encode(value)
-        with fastpath.scoped(True):
-            cold = convention.encode(value)
-            warm = convention.encode(value)
-        assert slow_wire == cold == warm
+        cold = convention.encode(value)
+        warm = convention.encode(value)
+        assert _reference_encode(value) == cold == warm
 
     @pytest.mark.parametrize("value", PAYLOADS)
     def test_round_trip_warm_cache(self, value):
         convention.clear_caches()
-        with fastpath.scoped(True):
-            first = convention.decode(convention.encode(value))
-            second = convention.decode(convention.encode(value))
+        first = convention.decode(convention.encode(value))
+        second = convention.decode(convention.encode(value))
         assert _eq(first, value) and _eq(second, value)
 
 
@@ -80,58 +81,51 @@ class TestScalarTypeFidelity:
     def test_equal_hashing_scalars_stay_distinct(self, a, b):
         """1, True and 1.0 hash equal; the cache must not mix them."""
         convention.clear_caches()
-        with fastpath.scoped(True):
-            for v in (a, b, a, b):
-                decoded = convention.decode(convention.encode(v))
-                assert type(decoded) is type(v) and decoded == v
+        for v in (a, b, a, b):
+            decoded = convention.decode(convention.encode(v))
+            assert type(decoded) is type(v) and decoded == v
 
     def test_enum_rejected_identically_both_paths(self):
-        """A bare enum is not marshalable; the fast path must reject it
-        exactly like the slow path (no scalar shortcut, no caching)."""
-        for on in (True, False):
-            with fastpath.scoped(on):
-                with pytest.raises(SimulationError, match="cannot marshal"):
-                    convention.encode(InodeType.FILE)
+        """A bare enum is not marshalable; the cached encoder must reject
+        it exactly like the reference (no scalar shortcut, no caching)."""
+        for encode in (convention.encode, _reference_encode):
+            with pytest.raises(SimulationError, match="cannot marshal"):
+                encode(InodeType.FILE)
 
     def test_bool_int_reprs_survive_caching(self):
         """An int subclass like bool must keep its own wire form even
         after the other type was cached under an equal-hashing key."""
         convention.clear_caches()
-        with fastpath.scoped(True):
-            assert convention.encode((1,)) == b"(1,)"
-            assert convention.encode((True,)) == b"(True,)"
-            assert convention.encode((1.0,)) == b"(1.0,)"
+        assert convention.encode((1,)) == b"(1,)"
+        assert convention.encode((True,)) == b"(True,)"
+        assert convention.encode((1.0,)) == b"(1.0,)"
 
 
 class TestCacheSafety:
     def test_decoded_mutables_not_shared(self):
         """Two decodes of the same wire list must not alias."""
         wire = convention.encode([1, 2, 3])
-        with fastpath.scoped(True):
-            first = convention.decode(wire)
-            second = convention.decode(wire)
+        first = convention.decode(wire)
+        second = convention.decode(wire)
         first.append(4)
         assert second == [1, 2, 3]
 
     def test_mutated_payload_reencodes_fresh(self):
         """Encoding must track content, not object identity."""
-        with fastpath.scoped(True):
-            payload = (1, 2)
-            assert convention.encode(payload) == convention.encode((1, 2))
-            assert convention.encode((1, 3)) != convention.encode((1, 2))
+        payload = (1, 2)
+        assert convention.encode(payload) == convention.encode((1, 2))
+        assert convention.encode((1, 3)) != convention.encode((1, 2))
 
     def test_cache_stats_count_hits(self):
         convention.clear_caches()
-        with fastpath.scoped(True):
-            convention.encode((b"abc", 1))
-            convention.encode((b"abc", 1))
+        convention.encode((b"abc", 1))
+        convention.encode((b"abc", 1))
         assert convention.cache_stats["encode_hits"] >= 1
 
     def test_cache_bounded(self):
         convention.clear_caches()
-        with fastpath.scoped(True):
-            for i in range(convention._CACHE_MAX + 100):
-                convention.encode((b"pad", i))
+        for i in range(convention._CACHE_MAX + 100):
+            convention.encode((b"pad", i))
         assert len(convention._encode_cache) <= convention._CACHE_MAX
 
 
@@ -141,7 +135,11 @@ class TestCorruptPayloads:
         b"__import__('os')",
     ])
     def test_corrupt_wire_rejected_both_paths(self, wire):
-        for on in (True, False):
-            with fastpath.scoped(on):
-                with pytest.raises(SimulationError):
-                    convention.decode(wire)
+        """Rejected from a cold cache and from a warm one, and never
+        cached: the second attempt fails the same way."""
+        convention.clear_caches()
+        with pytest.raises(SimulationError):
+            convention.decode(wire)
+        convention.decode(convention.encode([1, 2]))
+        with pytest.raises(SimulationError):
+            convention.decode(wire)

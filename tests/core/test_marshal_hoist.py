@@ -8,7 +8,7 @@ walk and hits its own cache in steady state.  This pins the counts
 with counting stubs so the re-derivation cannot creep back in.
 """
 
-from repro.core import convention, fastpath
+from repro.core import convention
 
 
 def _build_worldcall_harness(handler):
@@ -47,7 +47,7 @@ class TestMarshalHoist:
         machine, runtime, caller, callee = _build_worldcall_harness(
             lambda request: ("pong", request.payload))
         payload = ("ping", 7)
-        with fastpath.scoped(True), machine.cpu.trace.scoped(False):
+        with machine.cpu.trace.scoped(False):
             # Warm every marshaling cache outside the counted window.
             for _ in range(4):
                 runtime.call(caller, callee.wid, payload)

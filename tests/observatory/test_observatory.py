@@ -208,16 +208,15 @@ class TestParallelDeterminism:
 
     def _record(self, workers):
         from repro.analysis import parallel
-        from repro.core import convention, fastpath
+        from repro.core import convention
         from repro.switchless import campaign  # noqa: F401
         convention.clear_caches()
-        with fastpath.scoped(True):
-            telemetry.install(telemetry.TelemetrySession.lightweight("t"))
-            try:
-                with observatory.scoped() as obs:
-                    parallel.run_cells(list(self.SPECS), workers=workers)
-            finally:
-                telemetry.uninstall()
+        telemetry.install(telemetry.TelemetrySession.lightweight("t"))
+        try:
+            with observatory.scoped() as obs:
+                parallel.run_cells(list(self.SPECS), workers=workers)
+        finally:
+            telemetry.uninstall()
         return obs.cells
 
     def test_cells_byte_identical_across_worker_counts(self):
@@ -242,3 +241,48 @@ class TestParallelDeterminism:
             if isinstance(cell.get("value"), dict) else None
         if policy:
             assert len(flips) == len(policy["flips"])
+
+
+class TestTraceIndependentWindows:
+    """Window boundaries land on the charge that crosses them, whichever
+    transitions the CPU takes.  Recording the transition trace only adds
+    the ``trace.*`` counters that observe it; everything else in the
+    cell — window edges, cycles, every other counter — must match."""
+
+    SPEC = ("table4", ("Proxos", True, 2))
+
+    def _record(self, monkeypatch, trace):
+        from repro.analysis import experiments, parallel
+        from repro.core import convention
+        if trace:
+            monkeypatch.setattr(experiments, "_tune", lambda machine: None)
+        convention.clear_caches()
+        telemetry.install(telemetry.TelemetrySession.lightweight("t"))
+        try:
+            with observatory.scoped() as obs:
+                parallel.run_cells([self.SPEC], workers=1)
+        finally:
+            telemetry.uninstall()
+            monkeypatch.undo()
+        return obs.cells
+
+    @staticmethod
+    def _modeled(cells):
+        out = []
+        for cell in cells:
+            for window in cell["windows"]:
+                counters = {k: v for k, v in window["counters"].items()
+                            if not k.startswith("trace.")}
+                out.append(dict(window, counters=counters))
+            out.append({k: v for k, v in cell["totals"].items()
+                        if not k.startswith("trace.")})
+        return json.dumps(out, sort_keys=True)
+
+    def test_window_cells_identical_with_trace_on_and_off(
+            self, monkeypatch):
+        traced = self._record(monkeypatch, trace=True)
+        plain = self._record(monkeypatch, trace=False)
+        assert [w["cycles"] for w in plain[0]["windows"]] == [100134, 54299]
+        assert any(k.startswith("trace.events")
+                   for k in traced[0]["totals"])
+        assert self._modeled(traced) == self._modeled(plain)

@@ -27,11 +27,10 @@ def _run_harness(engine, bursts=((50, 200_000), (50, 200_000))):
     """Replay a fixed burst/idle schedule with ``engine`` installed
     (or None); returns (cycles spent inside calls, final perf snapshot).
     """
-    from repro.core import convention, fastpath
+    from repro.core import convention
 
     convention.clear_caches()
-    with fastpath.scoped(True), sl.scoped(engine) if engine is not None \
-            else _null_ctx():
+    with sl.scoped(engine) if engine is not None else _null_ctx():
         harness = _WorldCallHarness()
         cpu = harness.cpu
         spent = 0
@@ -147,41 +146,38 @@ class TestStatsAndConfig:
 
 class TestMechanismSeam:
     def test_switchless_without_engine_raises(self):
-        from repro.core import convention, fastpath
+        from repro.core import convention
 
         convention.clear_caches()
-        with fastpath.scoped(True):
-            harness = _WorldCallHarness()
-            with pytest.raises(ConfigurationError):
-                harness.runtime.call(harness.caller, harness.callee.wid,
-                                     ("getppid",), authorize=False,
-                                     mechanism="switchless")
+        harness = _WorldCallHarness()
+        with pytest.raises(ConfigurationError):
+            harness.runtime.call(harness.caller, harness.callee.wid,
+                                 ("getppid",), authorize=False,
+                                 mechanism="switchless")
 
     def test_unknown_mechanism_rejected(self):
-        from repro.core import convention, fastpath
+        from repro.core import convention
 
         convention.clear_caches()
-        with fastpath.scoped(True):
-            harness = _WorldCallHarness()
-            with pytest.raises(ConfigurationError):
-                harness.runtime.call(harness.caller, harness.callee.wid,
-                                     ("getppid",), authorize=False,
-                                     mechanism="sideways")
+        harness = _WorldCallHarness()
+        with pytest.raises(ConfigurationError):
+            harness.runtime.call(harness.caller, harness.callee.wid,
+                                 ("getppid",), authorize=False,
+                                 mechanism="sideways")
 
     def test_explicit_mechanisms_agree_on_results(self):
-        from repro.core import convention, fastpath
+        from repro.core import convention
 
         convention.clear_caches()
-        with fastpath.scoped(True):
-            harness = _WorldCallHarness()
-            via_world = harness.runtime.call(
+        harness = _WorldCallHarness()
+        via_world = harness.runtime.call(
+            harness.caller, harness.callee.wid, ("getppid",),
+            authorize=False, mechanism="world_call")
+        engine = SwitchlessEngine(SwitchlessConfig(mode="force"))
+        with sl.scoped(engine):
+            via_ring = harness.runtime.call(
                 harness.caller, harness.callee.wid, ("getppid",),
-                authorize=False, mechanism="world_call")
-            engine = SwitchlessEngine(SwitchlessConfig(mode="force"))
-            with sl.scoped(engine):
-                via_ring = harness.runtime.call(
-                    harness.caller, harness.callee.wid, ("getppid",),
-                    authorize=False, mechanism="switchless")
+                authorize=False, mechanism="switchless")
         assert via_world == via_ring
         assert engine.stats.calls == 1
 

@@ -2,26 +2,29 @@
 
 With a session installed, every modeled quantity — instructions,
 cycles, per-event counts — must be bit-identical to a telemetry-off
-run, with the fast path both off and on (telemetry hooks observe; they
-never charge)."""
+run, with transition-trace recording both on (``slowpath``: world
+labels built, one event per crossing) and off (``fastpath``: the
+label-free transitions the table runners take).  Telemetry hooks
+observe; they never charge."""
 
 import pytest
 
 from repro import telemetry
 from repro.analysis import experiments
-from repro.core import convention, fastpath
+from repro.core import convention
 
 #: A cross-section of Table-4 columns: the native surface, a plain
-#: baseline, the fused-fast-path-heavy baseline, and an optimized path.
+#: baseline, the virq-injection-heavy baseline, and an optimized path.
 COLUMNS = [(None, False), ("Proxos", False), ("ShadowContext", False),
            ("HyperShell", True)]
 
 
-def _column_deltas(system_name, optimized, iterations=2):
+def _column_deltas(system_name, optimized, iterations=2, trace=False):
     if system_name is None:
         surface = experiments._native_surface()
     else:
         surface = experiments._surface_for(system_name, optimized)
+    experiments._machine_of(surface).cpu.trace.enabled = trace
     out = {}
     for op, (method, divisor) in experiments.TABLE4_OPS.items():
         m = experiments._measure_op(surface, method, divisor, iterations)
@@ -30,29 +33,28 @@ def _column_deltas(system_name, optimized, iterations=2):
     return out
 
 
-@pytest.mark.parametrize("fast", [False, True], ids=["slowpath", "fastpath"])
+@pytest.mark.parametrize("trace", [True, False],
+                         ids=["slowpath", "fastpath"])
 @pytest.mark.parametrize("system_name,optimized", COLUMNS,
                          ids=[f"{n or 'native'}-{'opt' if o else 'orig'}"
                               for n, o in COLUMNS])
-def test_counters_identical_with_telemetry(system_name, optimized, fast):
+def test_counters_identical_with_telemetry(system_name, optimized, trace):
     convention.clear_caches()
-    with fastpath.scoped(fast):
-        plain = _column_deltas(system_name, optimized)
-        with telemetry.scoped("equivalence"):
-            traced = _column_deltas(system_name, optimized)
+    plain = _column_deltas(system_name, optimized, trace=trace)
+    with telemetry.scoped("equivalence"):
+        traced = _column_deltas(system_name, optimized, trace=trace)
     assert traced == plain
 
 
 def test_fastpath_equivalence_holds_under_telemetry():
-    """The PR-1 golden invariant (fast path == slow path) still holds
-    while a telemetry session is collecting."""
-    convention.clear_caches()
+    """Trace recording on and off still agree on every counter while a
+    telemetry session is collecting."""
     with telemetry.scoped("equivalence"):
-        with fastpath.scoped(False):
-            slow = _column_deltas("ShadowContext", False)
-        with fastpath.scoped(True):
-            fast = _column_deltas("ShadowContext", False)
-    assert fast == slow
+        convention.clear_caches()
+        recorded = _column_deltas("ShadowContext", False, trace=True)
+        convention.clear_caches()
+        label_free = _column_deltas("ShadowContext", False, trace=False)
+    assert label_free == recorded
 
 
 def test_figure4_identical_with_telemetry():
