@@ -36,6 +36,16 @@ _LIT_TAG = "__lit__"
 
 _ALL_TAGS = frozenset({_STAT_TAG, _ERR_TAG, _BYTES_TAG, _LIT_TAG})
 
+#: Exact types whose repr is already the wire form (scalar fast path);
+#: the walks below pass such items through without a call.
+_SCALAR_TYPES = frozenset({bool, int, float, str, type(None)})
+
+#: Immutable leaves a decoded template shares outright.
+_LEAF_TYPES = _SCALAR_TYPES | {bytes}
+
+#: Wire values :func:`_from_wire` rebuilds; anything else decodes as is.
+_WIRE_CONTAINERS = frozenset({tuple, list, dict})
+
 
 def _to_wire(value: Any) -> Any:
     """Convert to literal-encodable form (tagging rich types)."""
@@ -49,14 +59,17 @@ def _to_wire(value: Any) -> Any:
     if isinstance(value, bytes):
         return (_BYTES_TAG, value.hex())
     if isinstance(value, tuple):
-        wired = tuple(_to_wire(v) for v in value)
+        wired = tuple([v if type(v) in _SCALAR_TYPES else _to_wire(v)
+                       for v in value])
         if wired and isinstance(wired[0], str) and wired[0] in _ALL_TAGS:
             return (_LIT_TAG, wired)
         return wired
     if isinstance(value, list):
-        return [_to_wire(v) for v in value]
+        return [v if type(v) in _SCALAR_TYPES else _to_wire(v)
+                for v in value]
     if isinstance(value, dict):
-        return {k: _to_wire(v) for k, v in value.items()}
+        return {k: v if type(v) in _SCALAR_TYPES else _to_wire(v)
+                for k, v in value.items()}
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise SimulationError(f"cannot marshal {type(value).__name__} "
@@ -69,7 +82,8 @@ def _from_wire(value: Any) -> Any:
         if len(value) == 2 and value[0] == _LIT_TAG:
             # An escaped user tuple: un-wire its elements without
             # re-sniffing the tuple itself as a tag.
-            return tuple(_from_wire(v) for v in value[1])
+            return tuple([_from_wire(v) if type(v) in _WIRE_CONTAINERS
+                          else v for v in value[1]])
         if len(value) == 2 and value[0] == _STAT_TAG:
             f = value[1]
             return StatResult(ino=f[0], type=InodeType(f[1]), mode=f[2],
@@ -79,11 +93,14 @@ def _from_wire(value: Any) -> Any:
             return GuestOSError(value[1], value[2])
         if len(value) == 2 and value[0] == _BYTES_TAG:
             return bytes.fromhex(value[1])
-        return tuple(_from_wire(v) for v in value)
+        return tuple([_from_wire(v) if type(v) in _WIRE_CONTAINERS else v
+                      for v in value])
     if isinstance(value, list):
-        return [_from_wire(v) for v in value]
+        return [_from_wire(v) if type(v) in _WIRE_CONTAINERS else v
+                for v in value]
     if isinstance(value, dict):
-        return {k: _from_wire(v) for k, v in value.items()}
+        return {k: _from_wire(v) if type(v) in _WIRE_CONTAINERS else v
+                for k, v in value.items()}
     return value
 
 
@@ -135,8 +152,8 @@ cache_stats = {"encode_hits": 0, "encode_misses": 0,
                "roundtrip_hits": 0, "roundtrip_misses": 0,
                "poison_repaired": 0}
 
-#: Exact types whose repr is already the wire form (scalar fast path).
-_SCALAR_TYPES = frozenset({bool, int, float, str, type(None)})
+#: ``_cache_key({})``.
+_EMPTY_DICT_KEY = (dict, ())
 
 
 def _cache_key(value: Any) -> Any:
@@ -147,21 +164,36 @@ def _cache_key(value: Any) -> Any:
     hash equal but encode differently.  Mutable containers are keyed by
     content, which is safe for *encode*: a later mutation yields a
     different key rather than a stale hit.
+
+    Scalar, bytes and empty-dict items are keyed in the loop itself, so
+    a ``(name, args, kwargs)`` request with scalar arguments and no
+    keywords costs two calls (the request and its ``args``), and a
+    directory listing costs one.
     """
     t = type(value)
-    if t in _SCALAR_TYPES or t is bytes:
+    if t in _LEAF_TYPES:
         return (t, value)
     if t is tuple or t is list:
         parts = []
         for item in value:
-            part = _cache_key(item)
-            if part is None:
-                return None
-            parts.append(part)
+            it = type(item)
+            if it in _LEAF_TYPES:
+                parts.append((it, item))
+            elif it is dict and not item:
+                parts.append(_EMPTY_DICT_KEY)
+            else:
+                part = _cache_key(item)
+                if part is None:
+                    return None
+                parts.append(part)
         return (t, tuple(parts))
     if t is dict:
         parts = []
         for k, item in value.items():
+            it = type(item)
+            if it in _LEAF_TYPES:
+                parts.append((k, (it, item)))
+                continue
             part = _cache_key(item)
             if part is None:
                 return None
@@ -206,6 +238,11 @@ class _ThawErr(_Thaw):
     pass
 
 
+#: Template node types :func:`_thaw` rebuilds; anything else is shared.
+_THAW_TYPES = frozenset({_ThawList, _ThawTuple, _ThawDict, _ThawStat,
+                         _ThawErr})
+
+
 def _freeze(value: Any) -> Any:
     """Build a cacheable template for a decoded value.
 
@@ -214,18 +251,22 @@ def _freeze(value: Any) -> Any:
     :class:`_Thaw` node tree rebuilt by :func:`_thaw` per hit.
     """
     t = type(value)
-    if t in _SCALAR_TYPES or t is bytes:
+    if t in _LEAF_TYPES:
         return value
     if t is tuple:
-        frozen = tuple(_freeze(item) for item in value)
-        if all(f is v for f, v in zip(frozen, value)):
-            return value
-        return _ThawTuple(frozen)
+        frozen = tuple([item if type(item) in _LEAF_TYPES else _freeze(item)
+                        for item in value])
+        for f, v in zip(frozen, value):
+            if f is not v:
+                return _ThawTuple(frozen)
+        return value
     if t is list:
-        return _ThawList(tuple(_freeze(item) for item in value))
+        return _ThawList(tuple([item if type(item) in _LEAF_TYPES
+                                else _freeze(item) for item in value]))
     if t is dict:
-        return _ThawDict(tuple((k, _freeze(item))
-                               for k, item in value.items()))
+        return _ThawDict(tuple([(k, item if type(item) in _LEAF_TYPES
+                                 else _freeze(item))
+                                for k, item in value.items()]))
     if t is StatResult:
         return _ThawStat((value.ino, value.type, value.mode, value.uid,
                           value.gid, value.size, value.nlink, value.atime,
@@ -241,11 +282,14 @@ def _thaw(node: Any) -> Any:
     """Rebuild a fresh value from a :func:`_freeze` template."""
     t = type(node)
     if t is _ThawList:
-        return [_thaw(item) for item in node.items]
+        return [_thaw(item) if type(item) in _THAW_TYPES else item
+                for item in node.items]
     if t is _ThawTuple:
-        return tuple(_thaw(item) for item in node.items)
+        return tuple([_thaw(item) if type(item) in _THAW_TYPES else item
+                      for item in node.items])
     if t is _ThawDict:
-        return {k: _thaw(item) for k, item in node.items}
+        return {k: _thaw(item) if type(item) in _THAW_TYPES else item
+                for k, item in node.items}
     if t is _ThawStat:
         f = node.items
         return StatResult(ino=f[0], type=f[1], mode=f[2], uid=f[3],

@@ -71,8 +71,13 @@ _CTX_ZEROS = b"\x00" * _CONTEXT_SAVE_BYTES
 #: Where the length-prefixed calling info / returned buffer starts.
 _MSG_GVA = SHARED_GVA + _CONTEXT_SAVE_BYTES
 
+#: Largest calling-info / returned-buffer body the shared region holds.
+_MSG_CAPACITY = SHARED_PAGES * PAGE_SIZE - _CONTEXT_SAVE_BYTES - 4
+
 #: Sentinel: the mechanism seam declined and the default path should run.
 _NOT_ROUTED = object()
+
+_RING_KERNEL = int(Ring.KERNEL)
 
 
 class _PairState:
@@ -97,6 +102,8 @@ class CrossVMSyscallMechanism:
         if not machine.features.vmfunc:
             raise ConfigurationError(
                 "cross-VM syscalls via VMFUNC need VMFUNC hardware")
+        #: (from VM name, to VM name) -> plumbing; both orders of a
+        #: pair map to the same state.
         self._pairs: Dict[Tuple[str, str], _PairState] = {}
         #: Fall back to the trap-based round trip when VMFUNC faults.
         self.recovery_legacy = True
@@ -104,6 +111,8 @@ class CrossVMSyscallMechanism:
         self.recoveries: Counter = Counter()
         #: Round trips served over an explicit ``mechanism="baseline"``.
         self.baseline_calls = 0
+        #: What saving the fixed-size context block costs (step 3).
+        self._ctx_copy = machine.cost_model.copy(_CONTEXT_SAVE_BYTES)
 
     # ------------------------------------------------------------------
     # one-time setup
@@ -113,9 +122,9 @@ class CrossVMSyscallMechanism:
                    ) -> _PairState:
         """Prepare the helper context, code page, IDT2 and shared page
         for a VM pair (idempotent)."""
-        key = self._key(vm_a, vm_b)
-        if key in self._pairs:
-            return self._pairs[key]
+        existing = self._pairs.get((vm_a.name, vm_b.name))
+        if existing is not None:
+            return existing
         if vm_a.kernel is None or vm_b.kernel is None:
             raise ConfigurationError("both VMs need booted kernels")
 
@@ -157,7 +166,8 @@ class CrossVMSyscallMechanism:
             vm_b.name: vm_b.kernel.spawn("crossvm-helper"),
         }
         state = _PairState(helper_pt, idt2, helpers)
-        self._pairs[key] = state
+        self._pairs[(vm_a.name, vm_b.name)] = state
+        self._pairs[(vm_b.name, vm_a.name)] = state
         return state
 
     def _map_cross_page(self, table: PageTable, code_gpa: int) -> None:
@@ -166,16 +176,10 @@ class CrossVMSyscallMechanism:
                       executable=True)
 
     @staticmethod
-    def _key(vm_a: VirtualMachine, vm_b: VirtualMachine) -> Tuple[str, str]:
-        return tuple(sorted((vm_a.name, vm_b.name)))  # type: ignore
-
-    @staticmethod
-    def _check_fits(payload_len: int) -> None:
-        capacity = SHARED_PAGES * PAGE_SIZE - _CONTEXT_SAVE_BYTES - 4
-        if payload_len > capacity:
-            raise SimulationError(
-                f"cross-VM payload of {payload_len}B exceeds the shared "
-                f"region capacity of {capacity}B")
+    def _too_big(payload_len: int) -> SimulationError:
+        return SimulationError(
+            f"cross-VM payload of {payload_len}B exceeds the shared "
+            f"region capacity of {_MSG_CAPACITY}B")
 
     # ------------------------------------------------------------------
     # the redirected call
@@ -203,16 +207,16 @@ class CrossVMSyscallMechanism:
             r_name, r_args, r_kwargs = payload
             remote_kernel = to_vm.kernel
             assert isinstance(remote_kernel, Kernel)
-            state = self._pairs[self._key(from_vm, to_vm)]
             runner = executor if executor is not None else \
-                state.helpers[to_vm.name]
+                self._pairs[(from_vm.name, to_vm.name)].helpers[to_vm.name]
             return remote_kernel.execute_syscall(
                 runner, r_name, *r_args, **r_kwargs)
 
-        routed = self._route(from_vm, to_vm, mechanism,
-                             (name, args, kwargs), serve, "crossvm")
-        if routed is not _NOT_ROUTED:
-            return routed
+        if mechanism is not None or _hooks.switchless is not None:
+            routed = self._route(from_vm, to_vm, mechanism,
+                                 (name, args, kwargs), serve, "crossvm")
+            if routed is not _NOT_ROUTED:
+                return routed
         return self._roundtrip(from_vm, to_vm, (name, args, kwargs), serve)
 
     def call_function(self, from_vm: VirtualMachine,
@@ -227,10 +231,11 @@ class CrossVMSyscallMechanism:
         dispatcher.  ``fn`` executes in ``to_vm``'s kernel context.
         ``mechanism`` works as in :meth:`call`.
         """
-        routed = self._route(from_vm, to_vm, mechanism, payload, fn,
-                             "crossvm_fn")
-        if routed is not _NOT_ROUTED:
-            return routed
+        if mechanism is not None or _hooks.switchless is not None:
+            routed = self._route(from_vm, to_vm, mechanism, payload, fn,
+                                 "crossvm_fn")
+            if routed is not _NOT_ROUTED:
+                return routed
         return self._roundtrip(from_vm, to_vm, payload, fn)
 
     def _route(self, from_vm: VirtualMachine, to_vm: VirtualMachine,
@@ -239,8 +244,8 @@ class CrossVMSyscallMechanism:
         """The mechanism seam shared by :meth:`call`/:meth:`call_function`.
 
         Returns :data:`_NOT_ROUTED` when the default VMFUNC path should
-        run.  Zero cost when no engine is installed and no explicit
-        mechanism was requested: one module-attribute read, two branches.
+        run.  The callers skip it when no engine is installed and no
+        explicit mechanism was requested.
         """
         sl_engine = _hooks.switchless
         if mechanism is None:
@@ -286,7 +291,7 @@ class CrossVMSyscallMechanism:
     def _roundtrip_impl(self, from_vm: VirtualMachine,
                         to_vm: VirtualMachine, request_obj: Any,
                         server: Callable[[Any], Any]) -> Any:
-        state = self._pairs.get(self._key(from_vm, to_vm))
+        state = self._pairs.get((from_vm.name, to_vm.name))
         if state is None:
             raise ConfigurationError(
                 f"setup_pair({from_vm.name}, {to_vm.name}) was never run")
@@ -295,7 +300,8 @@ class CrossVMSyscallMechanism:
             raise SimulationError(
                 f"cross-VM call must start in {from_vm.name}'s kernel, "
                 f"CPU is in {cpu.world_label}")
-        cpu.require_ring(int(Ring.KERNEL), "cross-VM call")
+        if cpu.ring != _RING_KERNEL:
+            cpu.require_ring(_RING_KERNEL, "cross-VM call")
         memory = self.machine.memory
 
         saved_pt = cpu.page_table
@@ -308,12 +314,13 @@ class CrossVMSyscallMechanism:
 
         # Step 3: save context + calling info in the shared user page.
         if state.ctx_zeroed:
-            cpu.perf.charge("copy", cpu.cost_model.copy(_CONTEXT_SAVE_BYTES))
+            cpu.perf.charge("copy", self._ctx_copy)
         else:
             cpu.write_virt(memory, SHARED_GVA, _CTX_ZEROS)
             state.ctx_zeroed = True
         request = convention.encode(request_obj)
-        self._check_fits(len(request))
+        if len(request) > _MSG_CAPACITY:
+            raise self._too_big(len(request))
         cpu.write_virt(memory, _MSG_GVA,
                        len(request).to_bytes(4, "big") + request)
         try:
@@ -341,7 +348,8 @@ class CrossVMSyscallMechanism:
 
         # Step 5: returned buffer into the shared page, switch back.
         reply = convention.encode(outcome)
-        self._check_fits(len(reply))
+        if len(reply) > _MSG_CAPACITY:
+            raise self._too_big(len(reply))
         cpu.write_virt(memory, _MSG_GVA, len(reply).to_bytes(4, "big") + reply)
         cpu.cli()
         cpu.vmfunc(VMFUNC_EPT_SWITCH, from_vm.vm_id)
@@ -371,15 +379,16 @@ class CrossVMSyscallMechanism:
         caller decides how to surface."""
         cpu = self.machine.cpu
         hypervisor = self.machine.hypervisor
+        handle = cpu.cost_model.vmexit_handle
         cpu.vmexit(first_exit, f"{label} out")
-        cpu.charge("vmexit_handle")
+        cpu.perf.charge("vmexit_handle", handle)
         hypervisor.launch(cpu, to_vm, f"{label} entry")
         try:
             outcome = server(request_obj)
         except GuestOSError as err:
             outcome = err
         cpu.vmexit(ExitReason.VMCALL, f"{label} done")
-        cpu.charge("vmexit_handle")
+        cpu.perf.charge("vmexit_handle", handle)
         hypervisor.launch(cpu, from_vm, f"{label} resume")
         return outcome
 

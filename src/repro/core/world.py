@@ -119,7 +119,7 @@ class WorldRegistry:
                       process=process,
                       label=label or f"U({kernel.vm.name}:{process.name})")
         self.worlds[wid] = world
-        process.wids.append(wid)
+        process.wids += (wid,)
         return world
 
     # ------------------------------------------------------------------

@@ -43,6 +43,8 @@ class OpenFile:
 class FDTable:
     """Lowest-free-slot fd allocation, Unix style."""
 
+    __slots__ = ("_files",)
+
     def __init__(self) -> None:
         self._files: Dict[int, OpenFile] = {}
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List, Optional
 
 from repro.errors import GuestOSError
-from repro.guestos.fs.inode import Errno, Inode, InodeType
+from repro.guestos.fs.inode import Errno, Inode, InodeType, inode_numbers
 
 
 class NullDevice:
@@ -64,12 +64,15 @@ class ConsoleDevice:
 
 
 class DevFS:
-    """A fixed directory of device inodes."""
+    """A fixed directory of device inodes (numbered from ``inos``, as
+    for :class:`~repro.guestos.fs.ramfs.RamFS`)."""
 
     name = "devfs"
 
-    def __init__(self) -> None:
-        self._root = Inode(InodeType.DIR, mode=0o755)
+    def __init__(self, inos: Optional[Iterator[int]] = None) -> None:
+        if inos is None:
+            inos = inode_numbers()
+        self._root = Inode(InodeType.DIR, next(inos), mode=0o755)
         self.console = ConsoleDevice()
         assert self._root.children is not None
         for dev_name, driver in (
@@ -78,7 +81,7 @@ class DevFS:
                 ("urandom", PseudoRandomDevice()),
                 ("console", self.console)):
             self._root.children[dev_name] = Inode(
-                InodeType.DEVICE, mode=0o666, driver=driver)
+                InodeType.DEVICE, next(inos), mode=0o666, driver=driver)
 
     def root(self) -> Inode:
         """The /dev directory inode."""

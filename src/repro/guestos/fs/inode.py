@@ -5,11 +5,18 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 from repro.errors import GuestOSError
 
-_ino_counter = itertools.count(2)  # inode 1 is conventionally the root
+
+def inode_numbers() -> Iterator[int]:
+    """A fresh inode-number source (inode 1 is conventionally the root).
+
+    A kernel owns one and shares it among its mounted filesystems, so
+    numbers are unique per kernel and independent of what else ran in
+    the process; a filesystem built on its own makes its own."""
+    return itertools.count(2)
 
 
 class Errno:
@@ -64,16 +71,26 @@ class StatResult:
 class Inode:
     """One filesystem object.
 
-    ``FILE`` inodes carry ``data`` (a bytearray); ``DIR`` inodes carry
-    ``children`` (name -> Inode); ``DEVICE`` inodes carry a ``driver``
-    object exposing ``read(offset, length) -> bytes`` and
+    ``FILE`` inodes carry ``data``; ``DIR`` inodes carry ``children``
+    (name -> Inode); ``DEVICE`` inodes carry a ``driver`` object
+    exposing ``read(offset, length) -> bytes`` and
     ``write(offset, data) -> int``; ``SYMLINK`` inodes carry ``target``.
+
+    A file's ``data`` is a private bytearray, or an immutable ``bytes``
+    that prepared content shares among every machine holding the same
+    file (a Table 5 sweep builds 18 copies of an 800 KiB dictionary).
+    :meth:`write` and :meth:`truncate` give the inode its own bytearray
+    first: copy on write.
     """
 
-    def __init__(self, itype: InodeType, *, mode: int = 0o644, uid: int = 0,
-                 gid: int = 0, driver: Optional[object] = None,
+    __slots__ = ("ino", "type", "mode", "uid", "gid", "nlink", "atime",
+                 "mtime", "ctime", "data", "children", "driver", "target",
+                 "generator")
+
+    def __init__(self, itype: InodeType, ino: int, *, mode: int = 0o644,
+                 uid: int = 0, gid: int = 0, driver: Optional[object] = None,
                  target: str = "", now: int = 0) -> None:
-        self.ino = next(_ino_counter)
+        self.ino = ino
         self.type = itype
         self.mode = mode
         self.uid = uid
@@ -122,3 +139,31 @@ class Inode:
         if self.type is not InodeType.FILE or self.data is None:
             raise GuestOSError(Errno.EINVAL, "inode has no content")
         return bytes(self.data)
+
+    def read(self, offset: int, length: int) -> bytes:
+        """``content()[offset:offset + length]``, copying only the
+        slice of a FILE's data (a read of 1 KiB from an 800 KiB file
+        copies 1 KiB, not the file)."""
+        if self.generator is not None:
+            return self.generator()[offset:offset + length]
+        if self.type is not InodeType.FILE or self.data is None:
+            raise GuestOSError(Errno.EINVAL, "inode has no content")
+        return bytes(self.data[offset:offset + length])
+
+    def write(self, offset: int, data: bytes) -> int:
+        """Store ``data`` at ``offset`` of a FILE, zero-filling any gap
+        past the end; returns the bytes written."""
+        if self.type is not InodeType.FILE:
+            raise GuestOSError(Errno.EINVAL, "not writable")
+        buf = self.data
+        if type(buf) is not bytearray:
+            buf = self.data = bytearray(buf)
+        end = offset + len(data)
+        if len(buf) < end:
+            buf.extend(b"\x00" * (end - len(buf)))
+        buf[offset:end] = data
+        return len(data)
+
+    def truncate(self) -> None:
+        """Empty a FILE."""
+        self.data = bytearray()

@@ -14,16 +14,24 @@ from repro.guestos.fs.inode import Errno, Inode, InodeType
 
 _STATIC_FILES = ("uptime", "loadavg", "meminfo", "stat", "version")
 
+#: The files of every /proc/<pid> directory, in listing order.
+_PID_FILES = ("cmdline", "comm", "stat", "status")
+
 
 class ProcFS:
-    """Synthetic /proc backed by a :class:`~repro.guestos.kernel.Kernel`."""
+    """Synthetic /proc backed by a :class:`~repro.guestos.kernel.Kernel`
+    (whose inode-number source numbers its nodes)."""
 
     name = "procfs"
 
     def __init__(self, kernel) -> None:
         self.kernel = kernel
-        self._root = Inode(InodeType.DIR, mode=0o555)
-        self._cache: Dict[str, Inode] = {}
+        self._inos = kernel.inos
+        self._root = Inode(InodeType.DIR, next(self._inos), mode=0o555)
+        #: Nodes made so far, keyed by static file name, by pid (the
+        #: pid directories) and by ``(pid, file name)``.  A node is
+        #: built, with its content generator, on its first lookup.
+        self._cache: Dict[object, Inode] = {}
 
     def root(self) -> Inode:
         """The /proc directory inode."""
@@ -85,61 +93,52 @@ class ProcFS:
             return b"" if proc is None else proc.name.encode() + b"\x00"
         return generate
 
+    def _gen_pid_comm(self, pid: int):
+        def generate() -> bytes:
+            proc = self.kernel.processes.get(pid)
+            return b"" if proc is None else (proc.name + "\n").encode()
+        return generate
+
     # ------------------------------------------------------------------
     # filesystem interface
     # ------------------------------------------------------------------
 
-    def lookup(self, directory: Inode, name: str) -> Inode:
-        """Resolve names under /proc, generating nodes lazily."""
-        directory.require_dir()
-        if directory is self._root:
-            return self._lookup_root(name)
-        # A /proc/<pid> directory: directory.target stores the pid.
-        pid = int(directory.target)
-        if self.kernel.processes.get(pid) is None:
-            raise GuestOSError(Errno.ENOENT, f"process {pid} is gone")
-        generators = {
-            "stat": self._gen_pid_stat(pid),
-            "status": self._gen_pid_status(pid),
-            "cmdline": self._gen_pid_cmdline(pid),
-            "comm": lambda: (
-                (self.kernel.processes[pid].name + "\n").encode()
-                if pid in self.kernel.processes else b""),
-        }
-        generator = generators.get(name)
-        if generator is None:
-            raise GuestOSError(Errno.ENOENT, f"no /proc entry {name}")
-        key = f"{pid}/{name}"
-        node = self._cache.get(key)
-        if node is None:
-            node = Inode(InodeType.FILE, mode=0o444)
-            node.generator = generator
-            self._cache[key] = node
+    def _file(self, key: object, generator) -> Inode:
+        node = Inode(InodeType.FILE, next(self._inos), mode=0o444)
+        node.generator = generator
+        self._cache[key] = node
         return node
 
-    def _lookup_root(self, name: str) -> Inode:
-        generators = {
-            "uptime": self._gen_uptime,
-            "loadavg": self._gen_loadavg,
-            "meminfo": self._gen_meminfo,
-            "stat": self._gen_stat,
-            "version": self._gen_version,
-        }
-        if name in generators:
-            node = self._cache.get(name)
-            if node is None:
-                node = Inode(InodeType.FILE, mode=0o444)
-                node.generator = generators[name]
-                self._cache[name] = node
+    def lookup(self, directory: Inode, name: str) -> Inode:
+        """Resolve names under /proc, generating nodes lazily."""
+        if directory is self._root:
+            return self._lookup_root(name)
+        directory.require_dir()
+        # A /proc/<pid> directory: directory.target stores the pid.
+        pid = int(directory.target)
+        if pid not in self.kernel.processes:
+            raise GuestOSError(Errno.ENOENT, f"process {pid} is gone")
+        node = self._cache.get((pid, name))
+        if node is not None:
             return node
+        if name not in _PID_FILES:
+            raise GuestOSError(Errno.ENOENT, f"no /proc entry {name}")
+        return self._file((pid, name), getattr(self, f"_gen_pid_{name}")(pid))
+
+    def _lookup_root(self, name: str) -> Inode:
+        node = self._cache.get(name)
+        if node is not None:
+            return node
+        if name in _STATIC_FILES:
+            return self._file(name, getattr(self, f"_gen_{name}"))
         if name.isdigit():
             pid = int(name)
             if pid in self.kernel.processes:
-                key = f"dir:{pid}"
-                node = self._cache.get(key)
+                node = self._cache.get(pid)
                 if node is None:
-                    node = Inode(InodeType.DIR, mode=0o555, target=str(pid))
-                    self._cache[key] = node
+                    node = Inode(InodeType.DIR, next(self._inos), mode=0o555,
+                                 target=str(pid))
+                    self._cache[pid] = node
                 return node
         raise GuestOSError(Errno.ENOENT, f"no /proc entry {name}")
 
@@ -158,4 +157,4 @@ class ProcFS:
         if directory is self._root:
             pids = [str(pid) for pid in sorted(self.kernel.processes)]
             return list(_STATIC_FILES) + pids
-        return ["cmdline", "comm", "stat", "status"]
+        return list(_PID_FILES)

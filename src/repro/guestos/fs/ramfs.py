@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List, Optional
 
 from repro.errors import GuestOSError
-from repro.guestos.fs.inode import Errno, Inode, InodeType
+from repro.guestos.fs.inode import Errno, Inode, InodeType, inode_numbers
 
 
 class RamFS:
-    """A simple in-memory tree of inodes."""
+    """A simple in-memory tree of inodes.
+
+    ``inos`` is the inode-number source (the owning kernel's); a
+    standalone filesystem numbers its own inodes.
+    """
 
     name = "ramfs"
 
-    def __init__(self) -> None:
-        self._root = Inode(InodeType.DIR, mode=0o755)
+    def __init__(self, inos: Optional[Iterator[int]] = None) -> None:
+        self._inos = inos if inos is not None else inode_numbers()
+        self._root = Inode(InodeType.DIR, next(self._inos), mode=0o755)
 
     def root(self) -> Inode:
         """The filesystem's root directory inode."""
@@ -22,9 +27,10 @@ class RamFS:
 
     def lookup(self, directory: Inode, name: str) -> Inode:
         """Find ``name`` in ``directory`` or raise ENOENT."""
-        directory.require_dir()
-        assert directory.children is not None
-        child = directory.children.get(name)
+        children = directory.children
+        if children is None:
+            directory.require_dir()     # raises ENOTDIR
+        child = children.get(name)
         if child is None:
             raise GuestOSError(Errno.ENOENT, f"no such file: {name}")
         return child
@@ -38,7 +44,7 @@ class RamFS:
             raise GuestOSError(Errno.EEXIST, f"exists: {name}")
         if not name or "/" in name:
             raise GuestOSError(Errno.EINVAL, f"bad name: {name!r}")
-        child = Inode(itype, mode=mode, target=target)
+        child = Inode(itype, next(self._inos), mode=mode, target=target)
         directory.children[name] = child
         if itype is InodeType.DIR:
             directory.nlink += 1

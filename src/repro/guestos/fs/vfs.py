@@ -7,7 +7,7 @@ acquire their path-length-dependent latency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import GuestOSError
 from repro.guestos.fs.inode import Errno, Inode, InodeType
@@ -81,24 +81,28 @@ class VFS:
             raise GuestOSError(Errno.EINVAL, f"too many symlinks: {path}")
         if not path.startswith("/"):
             raise GuestOSError(Errno.EINVAL, f"path must be absolute: {path}")
-        fs, parts = self._fs_for(path)
+        hit = self._fs_cache.get(path)
+        fs, parts = hit if hit is not None else self._fs_for(path)
         node = fs.root()
-        full = split_path(path)
-        walked: List[str] = list(full[:len(full) - len(parts)])
+        perf = self.cpu.perf
+        walk_cost = self.cpu.cost_model.path_component
         for i, part in enumerate(parts):
-            self.cpu.charge("path_component")
+            perf.charge("path_component", walk_cost)
             node = fs.lookup(node, part)
             if node.type is InodeType.SYMLINK and (
                     follow_symlinks or i < len(parts) - 1):
                 remainder = "/".join(parts[i + 1:])
                 target = node.target
                 if not target.startswith("/"):
-                    target = "/" + "/".join(walked + [target])
+                    # Relative to the directory holding the link: every
+                    # component of ``path`` before this one.
+                    full = split_path(path)
+                    walked = full[:len(full) - len(parts) + i]
+                    target = "/" + "/".join(walked + (target,))
                 next_path = target + ("/" + remainder if remainder else "")
                 return self.resolve(next_path,
                                     follow_symlinks=follow_symlinks,
                                     _depth=_depth + 1)
-            walked.append(part)
         return fs, node
 
     def resolve_parent(self, path: str) -> Tuple[object, Inode, str]:

@@ -13,11 +13,12 @@ for one VM, and exposes the hooks the paper's systems need:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, Optional
 
 from repro.errors import GuestOSError, SimulationError
 from repro.guestos.fs.devfs import DevFS
-from repro.guestos.fs.inode import Errno, InodeType
+from repro.guestos.fs.inode import InodeType, inode_numbers
 from repro.guestos.fs.procfs import ProcFS
 from repro.guestos.fs.ramfs import RamFS
 from repro.guestos.fs.vfs import VFS
@@ -35,6 +36,15 @@ KERNEL_TEXT_GVA = 0xC000_0000
 
 #: Base uptime at boot, so /proc/uptime looks like a warm machine.
 BOOT_UPTIME_SECONDS = 3600.0
+
+_RING_KERNEL = int(Ring.KERNEL)
+
+
+@lru_cache(maxsize=1)
+def _boot_words() -> bytes:
+    """The boot-time /usr/share/dict/words content: the same on every
+    boot, so built once per process and shared until written."""
+    return b"\n".join([f"word{i:05d}".encode() for i in range(2000)]) + b"\n"
 
 
 class SyscallRedirector:
@@ -73,8 +83,10 @@ class Kernel:
         self.scheduler = Scheduler(self)
         self.redirector: Optional[SyscallRedirector] = None
 
-        self.rootfs = RamFS()
-        self.devfs = DevFS()
+        #: Inode numbers of every filesystem this kernel mounts.
+        self.inos = inode_numbers()
+        self.rootfs = RamFS(self.inos)
+        self.devfs = DevFS(self.inos)
         self.procfs = ProcFS(self)
         self.vfs = VFS(self.rootfs, self.cpu)
         self.vfs.mount("/dev", self.devfs)
@@ -108,14 +120,17 @@ class Kernel:
               uid: int = 0) -> Process:
         """Create a process with a fresh address space, ready to run."""
         self.last_pid += 1
-        proc = Process(self, self.last_pid, name, parent=parent, uid=uid)
-        proc.page_table.clone_mappings(self.master_page_table)
-        text_gpa = self.vm.map_new_page(f"pid{proc.pid}-text")
-        stack_gpa = self.vm.map_new_page(f"pid{proc.pid}-stack")
-        proc.page_table.map(USER_TEXT_GVA, text_gpa, user=True,
-                            executable=True, writable=False)
-        proc.page_table.map(USER_STACK_GVA, stack_gpa, user=True)
-        self.processes[proc.pid] = proc
+        pid = self.last_pid
+        proc = Process(self, pid, name, parent=parent, uid=uid)
+        table = proc.page_table
+        table.clone_mappings(self.master_page_table)
+        vm = self.vm
+        text_gpa = vm.map_new_page(f"pid{pid}-text")
+        stack_gpa = vm.map_new_page(f"pid{pid}-stack")
+        table.map(USER_TEXT_GVA, text_gpa, user=True, executable=True,
+                  writable=False)
+        table.map(USER_STACK_GVA, stack_gpa, user=True)
+        self.processes[pid] = proc
         self.scheduler.enqueue(proc)
         if parent is not None:
             parent.children.append(proc)
@@ -195,9 +210,12 @@ class Kernel:
         helper process), charging dispatch + handler but no user-side
         trap.
         """
-        self._require_on_cpu()
-        self.cpu.require_ring(int(Ring.KERNEL), "execute_syscall")
-        self.cpu.charge("syscall_dispatch")
+        cpu = self.cpu
+        if cpu.mode is not Mode.NON_ROOT or cpu.vm_name != self.vm.name:
+            self._require_on_cpu()
+        if cpu.ring != _RING_KERNEL:
+            cpu.require_ring(_RING_KERNEL, "execute_syscall")
+        cpu.perf.charge("syscall_dispatch", cpu.cost_model.syscall_dispatch)
         return self.syscalls.invoke(proc, name, *args, **kwargs)
 
     def install_redirector(self, redirector: Optional[SyscallRedirector]
@@ -252,9 +270,7 @@ class Kernel:
         share = self.rootfs.create(usr, "share", InodeType.DIR, mode=0o755)
         dictdir = self.rootfs.create(share, "dict", InodeType.DIR, mode=0o755)
         words = self.rootfs.create(dictdir, "words", InodeType.FILE)
-        assert words.data is not None
-        words.data += b"\n".join(
-            f"word{i:05d}".encode() for i in range(2000)) + b"\n"
+        words.data = _boot_words()
 
 
 def boot_kernel(machine, vm, cpu: Optional[CPU] = None) -> Kernel:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.guestos.fd import FDTable
@@ -15,6 +15,11 @@ USER_STACK_GVA = 0x7FFF_F000
 
 class Process:
     """One guest process (PCB + address space + fd table)."""
+
+    # An inspected VM holds thousands of processes: no per-instance dict.
+    __slots__ = ("kernel", "pid", "name", "parent", "children", "uid",
+                 "state", "exit_code", "page_table", "fds", "cwd",
+                 "start_cycles", "wids")
 
     def __init__(self, kernel, pid: int, name: str, *,
                  parent: Optional["Process"] = None, uid: int = 0) -> None:
@@ -31,7 +36,7 @@ class Process:
         self.cwd = "/"
         self.start_cycles = kernel.cpu.perf.cycles
         #: Worlds this process registered (WIDs), for cleanup.
-        self.wids: List[int] = []
+        self.wids: Tuple[int, ...] = ()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Process {self.pid} {self.name!r} ({self.state})>"
@@ -54,9 +59,10 @@ class Process:
             raise SimulationError(
                 f"{self!r} issued a syscall but {kernel.current!r} is "
                 "the running process")
-        cpu.charge("user_wrapper")
+        perf, costs = cpu.perf, cpu.cost_model
+        perf.charge("user_wrapper", costs.user_wrapper)
         cpu.syscall_trap(name)
-        cpu.charge("syscall_dispatch")
+        perf.charge("syscall_dispatch", costs.syscall_dispatch)
         try:
             return kernel.dispatch(self, name, *args, **kwargs)
         finally:

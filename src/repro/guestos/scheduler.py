@@ -14,21 +14,22 @@ class Scheduler:
     def __init__(self, kernel) -> None:
         self.kernel = kernel
         self.runqueue: List[Process] = []
-        #: ids of queued processes, so enqueue/dequeue membership checks
-        #: stay O(1) as benchmark loops spawn thousands of processes.
-        self._queued: Set[int] = set()
+        #: The queued processes (hashed by identity), so enqueue/dequeue
+        #: membership checks stay O(1) as benchmark loops spawn
+        #: thousands of processes.
+        self._queued: Set[Process] = set()
         self.switches = 0
 
     def enqueue(self, proc: Process) -> None:
         """Add a process to the run queue."""
-        if id(proc) not in self._queued:
-            self._queued.add(id(proc))
+        if proc not in self._queued:
+            self._queued.add(proc)
             self.runqueue.append(proc)
 
     def dequeue(self, proc: Process) -> None:
         """Remove a process from the run queue."""
-        if id(proc) in self._queued:
-            self._queued.discard(id(proc))
+        if proc in self._queued:
+            self._queued.discard(proc)
             self.runqueue.remove(proc)
 
     def pick_next(self, current: Optional[Process]) -> Optional[Process]:

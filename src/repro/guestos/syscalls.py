@@ -25,6 +25,10 @@ class SyscallTable:
 
     def __init__(self, kernel) -> None:
         self.kernel = kernel
+        #: The kernel's vCPU counters and the fd-table indexing cost,
+        #: resolved once: nearly every file syscall charges it.
+        self._perf = kernel.cpu.perf
+        self._fd_lookup = kernel.cpu.cost_model.fd_lookup
         self._handlers: Dict[str, Callable] = {}
         #: name -> (handler, charge kind, handler-body cost), filled on
         #: first dispatch of each syscall.
@@ -51,7 +55,7 @@ class SyscallTable:
             entry = self._dispatch_cache[name] = (
                 handler, f"sys_{name}", syscall_work(name))
         handler, kind, work = entry
-        self.kernel.cpu.charge(kind, work)
+        self._perf.charge(kind, work)
         return handler(proc, *args, **kwargs)
 
     # ------------------------------------------------------------------
@@ -111,15 +115,14 @@ class SyscallTable:
         if node.type is InodeType.DIR and "w" in flags:
             raise GuestOSError(Errno.EISDIR, f"cannot write dir {path}")
         if trunc and node.type is InodeType.FILE:
-            assert node.data is not None
-            del node.data[:]
+            node.truncate()
         open_file = OpenFile(inode=node, path=path,
                              readable="r" in flags,
                              writable="w" in flags)
         return proc.fds.install(open_file)
 
     def sys_close(self, proc: Process, fd: int) -> int:
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         open_file = proc.fds.close(fd)
         if open_file.is_pipe and open_file.refcount == 0:
             assert open_file.pipe is not None
@@ -133,7 +136,7 @@ class SyscallTable:
 
     def sys_read(self, proc: Process, fd: int, length: int) -> bytes:
         kernel = self.kernel
-        kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         open_file = proc.fds.get(fd)
         if not open_file.readable:
             raise GuestOSError(Errno.EBADF, "fd not open for reading")
@@ -151,8 +154,7 @@ class SyscallTable:
                 assert node.driver is not None
                 data = node.driver.read(open_file.offset, length)
             else:
-                content = node.content()
-                data = content[open_file.offset:open_file.offset + length]
+                data = node.read(open_file.offset, length)
             open_file.offset += len(data)
         if data:
             kernel.copy_to_user(len(data))
@@ -160,7 +162,7 @@ class SyscallTable:
 
     def sys_write(self, proc: Process, fd: int, data: bytes) -> int:
         kernel = self.kernel
-        kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         open_file = proc.fds.get(fd)
         if not open_file.writable:
             raise GuestOSError(Errno.EBADF, "fd not open for writing")
@@ -178,19 +180,13 @@ class SyscallTable:
         if node.type is InodeType.DEVICE:
             assert node.driver is not None
             return node.driver.write(open_file.offset, data)
-        if node.type is not InodeType.FILE:
-            raise GuestOSError(Errno.EINVAL, "not writable")
-        assert node.data is not None
-        end = open_file.offset + len(data)
-        if len(node.data) < end:
-            node.data.extend(b"\x00" * (end - len(node.data)))
-        node.data[open_file.offset:end] = data
-        open_file.offset = end
-        return len(data)
+        written = node.write(open_file.offset, data)
+        open_file.offset += written
+        return written
 
     def sys_lseek(self, proc: Process, fd: int, offset: int,
                   whence: str = "set") -> int:
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         open_file = proc.fds.get(fd)
         if open_file.is_pipe or open_file.is_socket:
             raise GuestOSError(Errno.ESPIPE, "cannot seek a pipe/socket")
@@ -210,13 +206,13 @@ class SyscallTable:
         return new
 
     def sys_dup(self, proc: Process, fd: int) -> int:
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         return proc.fds.dup(fd)
 
     def sys_pread(self, proc: Process, fd: int, length: int,
                   offset: int) -> bytes:
         """Positioned read: does not move the file offset."""
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         open_file = proc.fds.get(fd)
         if open_file.is_pipe or open_file.is_socket:
             raise GuestOSError(Errno.ESPIPE, "pread on pipe/socket")
@@ -228,7 +224,7 @@ class SyscallTable:
             assert node.driver is not None
             data = node.driver.read(offset, length)
         else:
-            data = node.content()[offset:offset + length]
+            data = node.read(offset, length)
         if data:
             self.kernel.copy_to_user(len(data))
         return data
@@ -236,7 +232,7 @@ class SyscallTable:
     def sys_pwrite(self, proc: Process, fd: int, data: bytes,
                    offset: int) -> int:
         """Positioned write: does not move the file offset."""
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         open_file = proc.fds.get(fd)
         if open_file.is_pipe or open_file.is_socket:
             raise GuestOSError(Errno.ESPIPE, "pwrite on pipe/socket")
@@ -249,18 +245,11 @@ class SyscallTable:
         if node.type is InodeType.DEVICE:
             assert node.driver is not None
             return node.driver.write(offset, data)
-        if node.type is not InodeType.FILE:
-            raise GuestOSError(Errno.EINVAL, "not writable")
-        assert node.data is not None
-        end = offset + len(data)
-        if len(node.data) < end:
-            node.data.extend(b"\x00" * (end - len(node.data)))
-        node.data[offset:end] = data
-        return len(data)
+        return node.write(offset, data)
 
     def sys_fsync(self, proc: Process, fd: int) -> int:
         """Durability barrier (a cost-only operation on ramfs)."""
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         open_file = proc.fds.get(fd)
         if open_file.inode is None:
             raise GuestOSError(Errno.EINVAL, "fsync on pipe/socket")
@@ -268,7 +257,7 @@ class SyscallTable:
 
     def sys_ioctl(self, proc: Process, fd: int, request: str,
                   *args) -> int:
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         open_file = proc.fds.get(fd)
         if open_file.inode is None or \
                 open_file.inode.type is not InodeType.DEVICE:
@@ -287,7 +276,7 @@ class SyscallTable:
         return 0
 
     def sys_fstat(self, proc: Process, fd: int) -> StatResult:
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         open_file = proc.fds.get(fd)
         if open_file.inode is None:
             raise GuestOSError(Errno.EINVAL, "fstat on pipe/socket")
@@ -366,7 +355,7 @@ class SyscallTable:
         fs, node = self.kernel.vfs.resolve(path)
         names = fs.readdir(node)
         if names:
-            self.kernel.copy_to_user(sum(len(n) + 1 for n in names))
+            self.kernel.copy_to_user(sum(map(len, names)) + len(names))
         return names
 
     def sys_chdir(self, proc: Process, path: str) -> int:
@@ -412,32 +401,32 @@ class SyscallTable:
         return proc.fds.install(OpenFile(socket=sock))
 
     def sys_bind(self, proc: Process, fd: int, port: int) -> int:
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         self.kernel.net.bind(proc.fds.get(fd).socket, port)
         return 0
 
     def sys_listen(self, proc: Process, fd: int) -> int:
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         self.kernel.net.listen(proc.fds.get(fd).socket)
         return 0
 
     def sys_connect(self, proc: Process, fd: int, host: str, port: int) -> int:
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         self.kernel.net.connect(proc.fds.get(fd).socket, host, port)
         return 0
 
     def sys_accept(self, proc: Process, fd: int) -> int:
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         conn = self.kernel.net.accept(proc.fds.get(fd).socket)
         return proc.fds.install(OpenFile(socket=conn))
 
     def sys_send(self, proc: Process, fd: int, data: bytes) -> int:
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         self.kernel.copy_from_user(len(data))
         return self.kernel.net.send(proc.fds.get(fd).socket, data)
 
     def sys_recv(self, proc: Process, fd: int, length: int) -> bytes:
-        self.kernel.cpu.charge("fd_lookup")
+        self._perf.charge("fd_lookup", self._fd_lookup)
         data = self.kernel.net.recv(proc.fds.get(fd).socket, length)
         if data:
             self.kernel.copy_to_user(len(data))

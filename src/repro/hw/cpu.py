@@ -52,6 +52,9 @@ class Ring(enum.IntEnum):
     USER = 3
 
 
+_ROOT = Mode.ROOT
+_NON_ROOT = Mode.NON_ROOT
+
 #: VMFUNC function indexes (Section 4.1 / 5.1).
 VMFUNC_EPT_SWITCH = 0x0
 VMFUNC_WORLD_CALL = 0x1
@@ -119,7 +122,10 @@ class CPU:
 
     def charge(self, kind: str, cost: Optional[Cost] = None) -> None:
         """Charge a named primitive (looked up in the cost model by
-        default) without recording a trace event."""
+        default) without recording a trace event.
+
+        Per-syscall hot paths skip this wrapper and its name lookup:
+        they hand ``perf.charge`` the cost-model field directly."""
         if cost is None:
             cost = getattr(self.cost_model, kind)
         self.perf.charge(kind, cost)
@@ -188,7 +194,8 @@ class CPU:
 
     def iret_to_ring(self, ring: int, detail: str = "") -> None:
         """IRET-style return to an arbitrary ring (used by injectors)."""
-        self.require_ring(_RING_KERNEL, "iret")
+        if self.ring != _RING_KERNEL:
+            self.require_ring(_RING_KERNEL, "iret")
         if self.trace.enabled:
             frm = self.world_label
             self.ring = int(ring)
@@ -219,21 +226,21 @@ class CPU:
         """LIDT; privileged."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "lidt")
-        self.interrupts.install(idt)
+        self.interrupts.idt = idt
         self.perf.charge("idt_switch", self.cost_model.idt_switch)
 
     def cli(self) -> None:
         """Disable interrupts; privileged."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "cli")
-        self.interrupts.disable()
+        self.interrupts.interrupts_enabled = False
         self.perf.charge("int_toggle", self.cost_model.int_toggle)
 
     def sti(self) -> None:
         """Enable interrupts; privileged."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "sti")
-        self.interrupts.enable()
+        self.interrupts.interrupts_enabled = True
         self.perf.charge("int_toggle", self.cost_model.int_toggle)
 
     def deliver_irq(self, vector: int, detail: str = "") -> None:
@@ -274,37 +281,33 @@ class CPU:
 
     def vmexit(self, reason: str, detail: str = "") -> None:
         """Guest -> host transition; saves guest state into the VMCS."""
-        self.require_non_root("vm exit")
-        if self.current_vmcs is None:
-            raise SimulationError("vm exit with no current VMCS")
+        if self.mode is not _NON_ROOT:
+            self.require_non_root("vm exit")
         vmcs = self.current_vmcs
+        if vmcs is None:
+            raise SimulationError("vm exit with no current VMCS")
         if self.trace.enabled:
             frm = self.world_label
-            vmcs.save_guest(self)
-            vmcs.exit_reason = reason
-            vmcs.load_host(self)
+            vmcs.exit_to_host(self, reason)
             self.transition("vmexit", frm, self.world_label,
                             detail or reason)
         else:
-            vmcs.save_guest(self)
-            vmcs.exit_reason = reason
-            vmcs.load_host(self)
+            vmcs.exit_to_host(self, reason)
             self.perf.charge("vmexit", self.cost_model.vmexit)
 
     def vmentry(self, vmcs: "VMCS", detail: str = "") -> None:
         """Host -> guest transition; loads guest state from the VMCS."""
-        self.require_root("vm entry")
+        if self.mode is not _ROOT:
+            self.require_root("vm entry")
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "vm entry")
         if self.trace.enabled:
             frm = self.world_label
-            vmcs.save_host(self)
-            vmcs.load_guest(self)
+            vmcs.enter_guest(self)
             self.current_vmcs = vmcs
             self.transition("vmentry", frm, self.world_label, detail)
         else:
-            vmcs.save_host(self)
-            vmcs.load_guest(self)
+            vmcs.enter_guest(self)
             self.current_vmcs = vmcs
             self.perf.charge("vmentry", self.cost_model.vmentry)
 
@@ -335,12 +338,14 @@ class CPU:
     def _vmfunc_ept_switch(self, index: int) -> None:
         if not self.features.vmfunc:
             raise InvalidOpcode("VMFUNC not supported by this processor")
-        self.require_non_root("VMFUNC")
-        if self.eptp_list is None:
+        if self.mode is not _NON_ROOT:
+            self.require_non_root("VMFUNC")
+        eptp_list = self.eptp_list
+        if eptp_list is None:
             raise VMFuncFault("no EPTP list configured for this guest")
-        if not 0 <= index < self.eptp_list.size:
+        if not 0 <= index < eptp_list.size:
             raise VMFuncFault(f"EPTP index {index} out of range")
-        target = self.eptp_list.get(index)
+        target = eptp_list.get(index)
         if target is None:
             raise VMFuncFault(f"EPTP list slot {index} is empty")
         if self.trace.enabled:
@@ -373,7 +378,7 @@ class CPU:
         if not self.features.crossover or self.wt_caches is None:
             raise InvalidOpcode(
                 "world_call requires the CrossOver extension")
-        self.charge("world_call_hw")
+        self.perf.charge("world_call_hw", self.cost_model.world_call_hw)
         # Observers see the hardware datapath itself (not just the
         # transition trace, which table runs switch off).
         # Observation never charges: modeled counters stay bit-identical.

@@ -13,37 +13,70 @@ import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import EPTViolation, SimulationError
-from repro.hw.mem import page_number, page_offset, PAGE_MASK, PAGE_SIZE
-from repro.hw.mem import bump_mapping_epoch
+from repro.hw import mem as _mem
+from repro.hw.mem import page_offset, PAGE_MASK, PAGE_SIZE
 
 _eptp_counter = itertools.count(0x8000)
 
 
-class EPTEntry:
-    """An EPT entry mapping one guest-physical page to a host frame.
+#: Permission bits packed below the page-aligned HPA of an EPT entry
+#: (read/write/execute are bits 0-2, as in Intel's EPT format).
+_EPT_R = 0x1
+_EPT_W = 0x2
+_EPT_X = 0x4
 
-    Treated as immutable: entries are shared between EPTs
-    (``clone_mappings``), so never mutate one in place — remap instead.
+
+def _ept_bits(readable: bool, writable: bool, executable: bool) -> int:
+    return ((_EPT_R if readable else 0) | (_EPT_W if writable else 0)
+            | (_EPT_X if executable else 0))
+
+
+def _ept_need(write: bool, execute: bool) -> int:
+    """The permission bits an access with these intents requires: a
+    plain load needs R; a store needs only W and a fetch only X."""
+    return _ept_bits(not (write or execute), write, execute)
+
+
+class EPTEntry:
+    """An EPT entry: a decoded view of one packed EPT word.
+
+    The EPT stores each mapping as a plain int (HPA | permission bits),
+    which costs no object per mapping; :meth:`EPT.entry` and
+    :meth:`EPT.entries` hand out these views.
     """
 
-    __slots__ = ("hpa", "readable", "writable", "executable")
+    __slots__ = ("word",)
 
     def __init__(self, hpa: int, readable: bool = True, writable: bool = True,
                  executable: bool = True) -> None:
-        self.hpa = hpa
-        self.readable = readable
-        self.writable = writable
-        self.executable = executable
+        self.word = hpa | _ept_bits(readable, writable, executable)
+
+    @classmethod
+    def _of(cls, word: int) -> "EPTEntry":
+        entry = cls.__new__(cls)
+        entry.word = word
+        return entry
+
+    @property
+    def hpa(self) -> int:
+        return self.word & ~PAGE_MASK
+
+    @property
+    def readable(self) -> bool:
+        return bool(self.word & _EPT_R)
+
+    @property
+    def writable(self) -> bool:
+        return bool(self.word & _EPT_W)
+
+    @property
+    def executable(self) -> bool:
+        return bool(self.word & _EPT_X)
 
     def permits(self, *, write: bool, execute: bool) -> bool:
         """Whether the access is allowed by the EPT permissions."""
-        if not self.readable and not write and not execute:
-            return False
-        if write and not self.writable:
-            return False
-        if execute and not self.executable:
-            return False
-        return True
+        need = _ept_need(write, execute)
+        return self.word & need == need
 
 
 class EPT:
@@ -52,7 +85,8 @@ class EPT:
     def __init__(self, label: str = "") -> None:
         self.label = label
         self.eptp = next(_eptp_counter) << 12
-        self._entries: Dict[int, EPTEntry] = {}
+        #: gfn -> packed word (HPA | permission bits).
+        self._entries: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -62,35 +96,40 @@ class EPT:
         """Map the guest-physical page at ``gpa`` to the host frame at ``hpa``."""
         if (gpa | hpa) & PAGE_MASK:
             raise SimulationError("EPT map() requires page-aligned addresses")
-        self._entries[gpa >> 12] = EPTEntry(
-            hpa=hpa, readable=readable, writable=writable, executable=executable)
-        bump_mapping_epoch()
+        # ``hpa | _ept_bits(...)``, spelled out: one map per spawned page.
+        self._entries[gpa >> 12] = (
+            hpa | (_EPT_R if readable else 0) | (_EPT_W if writable else 0)
+            | (_EPT_X if executable else 0))
+        _mem._mapping_epoch += 1
 
     def unmap(self, gpa: int) -> None:
         """Remove the mapping for the guest-physical page at ``gpa``."""
-        gfn = page_number(gpa)
+        gfn = gpa >> 12
         if gfn not in self._entries:
             raise SimulationError(f"EPT unmap of unmapped GPA {gpa:#x}")
         del self._entries[gfn]
-        bump_mapping_epoch()
+        _mem._mapping_epoch += 1
 
     def entry(self, gpa: int) -> Optional[EPTEntry]:
         """The EPT entry covering ``gpa``, or ``None``."""
-        return self._entries.get(page_number(gpa))
+        word = self._entries.get(gpa >> 12)
+        return None if word is None else EPTEntry._of(word)
 
     def entries(self) -> Iterator[Tuple[int, EPTEntry]]:
         """Iterate ``(gfn, entry)`` pairs."""
-        return iter(self._entries.items())
+        return ((gfn, EPTEntry._of(word))
+                for gfn, word in self._entries.items())
 
     def translate(self, gpa: int, *, write: bool = False,
                   execute: bool = False) -> int:
         """Translate ``gpa`` to a host-physical address or raise EPTViolation."""
-        entry = self._entries.get(page_number(gpa))
-        if entry is None:
+        word = self._entries.get(gpa >> 12)
+        if word is None:
             raise EPTViolation(gpa, write=write, reason="not-present")
-        if not entry.permits(write=write, execute=execute):
+        need = _ept_need(write, execute)
+        if word & need != need:
             raise EPTViolation(gpa, write=write, reason="protection")
-        return entry.hpa + page_offset(gpa)
+        return (word & ~PAGE_MASK) | (gpa & PAGE_MASK)
 
     def span(self, gpa: int, length: int, *, write: bool = False
              ) -> Iterator[Tuple[int, int]]:
@@ -106,9 +145,8 @@ class EPT:
 
     def clone_mappings(self, other: "EPT") -> None:
         """Copy every mapping of ``other`` into this EPT."""
-        for gfn, entry in other.entries():
-            self._entries[gfn] = entry
-        bump_mapping_epoch()
+        self._entries.update(other._entries)
+        _mem._mapping_epoch += 1
 
 
 class EPTPList:
@@ -138,7 +176,8 @@ class EPTPList:
 
     def get(self, index: int) -> Optional[EPT]:
         """The EPT at ``index``, or ``None`` when the slot is empty."""
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            self._check_index(index)
         return self._slots[index]
 
     def index_of(self, ept: EPT) -> Optional[int]:

@@ -40,21 +40,13 @@ class IDT:
 
 
 class InterruptState:
-    """Per-CPU interrupt state: installed IDT + IF flag."""
+    """Per-CPU interrupt state: installed IDT + IF flag.
+
+    Plain state: :meth:`~repro.hw.cpu.CPU.install_idt` (the ``lidt`` of
+    Figure 4), :meth:`~repro.hw.cpu.CPU.cli` and
+    :meth:`~repro.hw.cpu.CPU.sti` write the fields directly."""
 
     def __init__(self) -> None:
         self.idt: Optional[IDT] = None
         self.interrupts_enabled = True
         self.pending: list = []
-
-    def install(self, idt: IDT) -> None:
-        """Load a new IDT (the ``lidt`` of Figure 4)."""
-        self.idt = idt
-
-    def disable(self) -> None:
-        """``cli``."""
-        self.interrupts_enabled = False
-
-    def enable(self) -> None:
-        """``sti``."""
-        self.interrupts_enabled = True

@@ -42,7 +42,9 @@ def is_page_aligned(addr: int) -> bool:
 #: Global mapping-generation counter.  Every guest page-table or EPT
 #: mutation bumps it, so software translation caches (the CPU's host
 #: TLB model is separate) can validate entries with one comparison
-#: instead of re-walking.
+#: instead of re-walking.  The page-table and EPT mutators increment it
+#: in place (``mem._mapping_epoch += 1``): they run once per mapping,
+#: tens of thousands of times per sweep.
 _mapping_epoch = 0
 
 
@@ -93,7 +95,10 @@ class Frame:
         if offset < 0 or offset + len(data) > PAGE_SIZE:
             raise SimulationError(
                 f"frame write out of bounds: offset={offset} length={len(data)}")
-        self.data[offset:offset + len(data)] = data
+        buf = self._data
+        if buf is None:
+            buf = self._data = bytearray(PAGE_SIZE)
+        buf[offset:offset + len(data)] = data
 
 
 class HostMemory:

@@ -2,7 +2,7 @@
 
 A :class:`VMCS` holds the guest-state and host-state areas the hardware
 swaps on VM entry/exit.  The CPU's :meth:`~repro.hw.cpu.CPU.vmexit` /
-:meth:`~repro.hw.cpu.CPU.vmentry` primitives call the save/load hooks
+:meth:`~repro.hw.cpu.CPU.vmentry` primitives call the exit/entry hooks
 here; the hypervisor owns one VMCS per vCPU.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.hw.cpu import Mode
 from repro.hw.ept import EPT, EPTPList
 from repro.hw.idt import IDT
 from repro.hw.paging import PageTable
@@ -59,47 +60,45 @@ class VMCS:
 
     # -- hooks used by CPU.vmexit / CPU.vmentry -------------------------
 
-    def save_guest(self, cpu) -> None:
-        """Capture the CPU's guest context on a VM exit."""
-        self.guest.ring = cpu.ring
-        self.guest.page_table = cpu.page_table
-        self.guest.ept = cpu.ept
-        self.guest.eptp_list = cpu.eptp_list
-        self.guest.idt = cpu.interrupts.idt
-        self.guest.interrupts_enabled = cpu.interrupts.interrupts_enabled
-        self.guest.vm_name = cpu.vm_name
-
-    def load_guest(self, cpu) -> None:
-        """Restore the guest context into the CPU on VM entry."""
-        from repro.hw.cpu import Mode  # local import avoids a cycle
-
-        cpu.mode = Mode.NON_ROOT
-        cpu.ring = self.guest.ring
-        cpu.page_table = self.guest.page_table
-        cpu.ept = self.guest.ept
-        cpu.eptp_list = self.guest.eptp_list
-        cpu.interrupts.idt = self.guest.idt
-        cpu.interrupts.interrupts_enabled = self.guest.interrupts_enabled
-        cpu.vm_name = self.guest.vm_name
-        self.launched = True
-
-    def save_host(self, cpu) -> None:
-        """Capture the host context before entering the guest."""
-        self.host.ring = cpu.ring
-        self.host.page_table = cpu.page_table
-        self.host.idt = cpu.interrupts.idt
-        self.host.interrupts_enabled = cpu.interrupts.interrupts_enabled
-        self.host.vm_name = cpu.vm_name
-
-    def load_host(self, cpu) -> None:
-        """Restore the host context on a VM exit."""
-        from repro.hw.cpu import Mode  # local import avoids a cycle
-
+    def exit_to_host(self, cpu, reason: str) -> None:
+        """VM exit: capture the CPU's guest context, record ``reason``
+        and restore the host context."""
+        guest = self.guest
+        interrupts = cpu.interrupts
+        guest.ring = cpu.ring
+        guest.page_table = cpu.page_table
+        guest.ept = cpu.ept
+        guest.eptp_list = cpu.eptp_list
+        guest.idt = interrupts.idt
+        guest.interrupts_enabled = interrupts.interrupts_enabled
+        guest.vm_name = cpu.vm_name
+        self.exit_reason = reason
+        host = self.host
         cpu.mode = Mode.ROOT
-        cpu.ring = self.host.ring
-        cpu.page_table = self.host.page_table
+        cpu.ring = host.ring
+        cpu.page_table = host.page_table
         cpu.ept = None
         cpu.eptp_list = None
-        cpu.interrupts.idt = self.host.idt
-        cpu.interrupts.interrupts_enabled = self.host.interrupts_enabled
-        cpu.vm_name = self.host.vm_name
+        interrupts.idt = host.idt
+        interrupts.interrupts_enabled = host.interrupts_enabled
+        cpu.vm_name = host.vm_name
+
+    def enter_guest(self, cpu) -> None:
+        """VM entry: capture the host context and load the guest's."""
+        host = self.host
+        interrupts = cpu.interrupts
+        host.ring = cpu.ring
+        host.page_table = cpu.page_table
+        host.idt = interrupts.idt
+        host.interrupts_enabled = interrupts.interrupts_enabled
+        host.vm_name = cpu.vm_name
+        guest = self.guest
+        cpu.mode = Mode.NON_ROOT
+        cpu.ring = guest.ring
+        cpu.page_table = guest.page_table
+        cpu.ept = guest.ept
+        cpu.eptp_list = guest.eptp_list
+        interrupts.idt = guest.idt
+        interrupts.interrupts_enabled = guest.interrupts_enabled
+        cpu.vm_name = guest.vm_name
+        self.launched = True

@@ -113,7 +113,8 @@ class Hypervisor:
     def launch(self, cpu: CPU, vm: VirtualMachine, detail: str = "") -> None:
         """VM entry into ``vm`` (vmlaunch/vmresume)."""
         cpu.vmentry(vm.vmcs, detail or f"enter {vm.name}")
-        self.injector.deliver_pending(cpu, vm)
+        if vm.pending_virqs or _hooks.faults is not None:
+            self.injector.deliver_pending(cpu, vm)
 
     def exit_to_host(self, cpu: CPU, reason: str, detail: str = "") -> None:
         """Force a VM exit and charge the hypervisor's handling cost."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro import hooks as _hooks
-from repro.hw.cpu import CPU
+from repro.hw.cpu import CPU, Mode
 from repro.hypervisor.vm import VirtualMachine
 
 #: Conventional vectors used by the reimplemented systems.
@@ -35,8 +35,9 @@ class Injector:
     def inject(self, cpu: CPU, vm: VirtualMachine, vector: int,
                detail: str = "") -> None:
         """Queue ``vector`` on ``vm`` (hypervisor-side work is charged)."""
-        cpu.require_root("virq injection")
-        cpu.charge("virq_inject")
+        if cpu.mode is not Mode.ROOT:
+            cpu.require_root("virq injection")
+        cpu.perf.charge("virq_inject", cpu.cost_model.virq_inject)
         vm.queue_virq(vector, detail)
         self.injected += 1
         self.injected_by_vector[vector] = \
@@ -49,16 +50,15 @@ class Injector:
 
         Must be called with the CPU already inside ``vm`` (after a VM
         entry).  Returns the number of interrupts delivered.
+        :meth:`~repro.hypervisor.hypervisor.Hypervisor.launch` skips the
+        call when nothing is queued and no fault engine is installed.
         """
         if _hooks.faults is not None:
             _hooks.faults.fire("hv.inject.deliver", injector=self,
                                cpu=cpu, vm=vm)
         delivered = 0
-        while True:
-            item = vm.take_virq()
-            if item is None:
-                return delivered
-            vector, detail = item
+        while vm.pending_virqs:
+            vector, detail = vm.take_virq()
             prior_ring = cpu.ring
             cpu.deliver_irq(vector, detail)
             delivered += 1
@@ -72,3 +72,4 @@ class Injector:
             # IRET back to the interrupted privilege level.
             if cpu.ring != prior_ring:
                 cpu.iret_to_ring(prior_ring, "irq return")
+        return delivered

@@ -49,18 +49,13 @@ class VirtualMachine:
     # guest-physical memory
     # ------------------------------------------------------------------
 
-    def alloc_gpa(self) -> int:
-        """Reserve the next private guest-physical page address."""
+    def map_new_page(self, label: str = "") -> int:
+        """Allocate a host frame, map it at the next private GPA, return
+        the GPA."""
         gpa = self._next_gpa
         if gpa >= COMMON_GPA_BASE:
             raise SimulationError(f"VM {self.name} guest-physical space full")
-        self._next_gpa += PAGE_SIZE
-        return gpa
-
-    def map_new_page(self, label: str = "") -> int:
-        """Allocate a host frame, map it at a fresh private GPA, return
-        the GPA."""
-        gpa = self.alloc_gpa()
+        self._next_gpa = gpa + PAGE_SIZE
         frame = self.memory.allocate(f"{self.name}:{label}")
         self.ept.map(gpa, frame.hpa)
         self._frames[gpa] = frame

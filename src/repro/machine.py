@@ -55,6 +55,8 @@ class Machine:
             cpu.ring = int(Ring.KERNEL)
             cpu.page_table = self.host_page_table
             cpu.vm_name = "host"
+        #: The primary (boot) CPU.
+        self.cpu: CPU = self.cpus[0]
 
         #: The CrossOver world table (only meaningful with the extension,
         #: but always present so the hypervisor code is uniform).  The
@@ -71,11 +73,6 @@ class Machine:
 
         #: The machine-wide virtual network fabric (ports + delivery).
         self.network = VirtualNetwork()
-
-    @property
-    def cpu(self) -> CPU:
-        """The primary (boot) CPU."""
-        return self.cpus[0]
 
     # ------------------------------------------------------------------
     # host memory helpers

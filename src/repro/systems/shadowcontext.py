@@ -71,7 +71,7 @@ class ShadowContext(CrossWorldSystem):
         # parameters are copied out of the trusted VM.
         request = convention.encode((name, args, kwargs))
         cpu.vmexit(ExitReason.VMCALL, "shadowcontext redirect")
-        cpu.charge("vmexit_handle")
+        cpu.perf.charge("vmexit_handle", cm.vmexit_handle)
         cpu.perf.charge("copy", cm.copy(len(request)))
 
         # KVM injects the redirected syscall into the dummy process with
@@ -94,7 +94,7 @@ class ShadowContext(CrossWorldSystem):
         reply = convention.encode(result)
         self.remote_kernel.current = None   # the dummy sleeps again
         cpu.vmexit(ExitReason.VMCALL, "shadowcontext done")
-        cpu.charge("vmexit_handle")
+        cpu.perf.charge("vmexit_handle", cm.vmexit_handle)
         cpu.perf.charge("copy", cm.copy(len(reply)))
         hypervisor.launch(cpu, self.local_vm, "resume trusted VM")
         if isinstance(result, GuestOSError):

@@ -82,7 +82,7 @@ class TestRamFS:
 
 class TestInode:
     def test_stat_fields(self):
-        node = Inode(InodeType.FILE, mode=0o640, uid=3)
+        node = Inode(InodeType.FILE, 2, mode=0o640, uid=3)
         node.data += b"12345"
         st = node.stat()
         assert st.size == 5
@@ -91,16 +91,51 @@ class TestInode:
         assert st.type is InodeType.FILE
 
     def test_symlink_size(self):
-        node = Inode(InodeType.SYMLINK, target="/etc/passwd")
+        node = Inode(InodeType.SYMLINK, 2, target="/etc/passwd")
         assert node.size == len("/etc/passwd")
 
     def test_generator_content(self):
-        node = Inode(InodeType.FILE)
+        node = Inode(InodeType.FILE, 2)
         node.generator = lambda: b"dynamic"
         assert node.content() == b"dynamic"
 
     def test_ino_unique(self):
-        assert Inode(InodeType.FILE).ino != Inode(InodeType.FILE).ino
+        fs = RamFS()
+        a = fs.create(fs.root(), "a", InodeType.FILE)
+        b = fs.create(fs.root(), "b", InodeType.FILE)
+        assert len({fs.root().ino, a.ino, b.ino}) == 3
+
+    @pytest.mark.parametrize("offset,length", [
+        (0, 0), (0, 1), (0, 1024), (3, 4), (1000, 1024), (2047, 1),
+        (2048, 16), (2048, 0), (4096, 10), (5000, 1)])
+    def test_read_slices_content(self, offset, length):
+        blob = bytes(range(256)) * 8            # 2 KiB
+        node = Inode(InodeType.FILE, 2)
+        node.data += blob
+        gen = Inode(InodeType.FILE, 3)
+        gen.generator = lambda: blob
+        for inode in (node, gen):
+            assert inode.read(offset, length) == \
+                inode.content()[offset:offset + length]
+            assert type(inode.read(offset, length)) is bytes
+
+    def test_write_copies_shared_content_first(self):
+        shared = b"abcdef"
+        a, b = Inode(InodeType.FILE, 2), Inode(InodeType.FILE, 3)
+        a.data = b.data = shared
+        assert a.read(1, 3) == b"bcd"
+        assert a.write(4, b"XYZ") == 3
+        assert a.content() == b"abcdXYZ"
+        assert b.content() == shared == b"abcdef"
+        assert a.write(9, b"!") == 1
+        assert a.content() == b"abcdXYZ\x00\x00!"
+        b.truncate()
+        assert b.size == 0 and shared == b"abcdef"
+
+    def test_read_without_content_is_einval(self):
+        with pytest.raises(GuestOSError) as exc:
+            Inode(InodeType.DIR, 2).read(0, 1)
+        assert exc.value.errno == Errno.EINVAL
 
 
 class TestDevFS:
@@ -191,6 +226,42 @@ class TestProcFS:
         with pytest.raises(GuestOSError):
             kernel.procfs.create(kernel.procfs.root(), "x", InodeType.FILE)
 
+    def test_unknown_names_are_enoent(self, single_vm):
+        machine, vm, kernel = single_vm
+        fs = kernel.procfs
+        d = fs.lookup(fs.root(), str(kernel.init.pid))
+        for directory, name in ((fs.root(), "nope"), (fs.root(), "999999"),
+                                (d, "nope"), (d, "uptime")):
+            with pytest.raises(GuestOSError) as exc:
+                fs.lookup(directory, name)
+            assert exc.value.errno == Errno.ENOENT
+
+    def test_vanished_pid_files_are_enoent(self, single_vm):
+        machine, vm, kernel = single_vm
+        proc = kernel.spawn("dying")
+        fs = kernel.procfs
+        d = fs.lookup(fs.root(), str(proc.pid))
+        fs.lookup(d, "stat")                    # cached while alive
+        kernel.reap(proc, 0)
+        for name in ("stat", "status", "cmdline", "comm"):
+            with pytest.raises(GuestOSError) as exc:
+                fs.lookup(d, name)
+            assert exc.value.errno == Errno.ENOENT
+
+    def test_repeat_lookup_returns_same_node(self, single_vm):
+        machine, vm, kernel = single_vm
+        proc = kernel.spawn("steady")
+        fs = kernel.procfs
+        d = fs.lookup(fs.root(), str(proc.pid))
+        assert fs.lookup(fs.root(), str(proc.pid)) is d
+        assert fs.lookup(fs.root(), "uptime") is fs.lookup(fs.root(),
+                                                           "uptime")
+        for name in fs.readdir(d):
+            node = fs.lookup(d, name)
+            assert fs.lookup(d, name) is node
+            assert node.content()
+        assert fs.lookup(d, "comm").content() == b"steady\n"
+
 
 class TestVFS:
     def test_mount_resolution(self, single_vm):
@@ -220,6 +291,15 @@ class TestVFS:
         kernel.rootfs.create(tmp, "link", InodeType.SYMLINK, target="/tmp/f")
         _, node = kernel.vfs.resolve("/tmp/link")
         assert node.type is InodeType.FILE
+
+    def test_relative_symlink_resolves_from_its_directory(self, single_vm):
+        machine, vm, kernel = single_vm
+        root = kernel.rootfs.root()
+        etc = kernel.rootfs.lookup(root, "etc")
+        kernel.rootfs.create(etc, "host", InodeType.SYMLINK,
+                             target="hostname")
+        _, node = kernel.vfs.resolve("/etc/host")
+        assert node is kernel.rootfs.lookup(etc, "hostname")
 
     def test_symlink_not_followed_for_lstat(self, single_vm):
         machine, vm, kernel = single_vm

@@ -1,5 +1,7 @@
 """EPT and EPTP-list tests."""
 
+import itertools
+
 import pytest
 
 from repro.errors import EPTViolation, SimulationError
@@ -35,6 +37,28 @@ class TestEPT:
         ept.map(GPA, HPA, executable=False)
         with pytest.raises(EPTViolation):
             ept.translate(GPA, execute=True)
+
+    @pytest.mark.parametrize("r,w,x", list(itertools.product((0, 1),
+                                                             repeat=3)))
+    def test_packed_permissions_match_the_rules(self, r, w, x):
+        ept = EPT()
+        ept.map(GPA, HPA, readable=bool(r), writable=bool(w),
+                executable=bool(x))
+        entry = ept.entry(GPA)
+        assert (entry.hpa, entry.readable, entry.writable,
+                entry.executable) == (HPA, bool(r), bool(w), bool(x))
+        for write, execute in itertools.product((False, True), repeat=2):
+            # A plain load needs R; a store needs W, a fetch needs X.
+            allowed = ((write or execute or r) and (not write or w)
+                       and (not execute or x))
+            assert entry.permits(write=write, execute=execute) == \
+                bool(allowed)
+            try:
+                assert ept.translate(GPA + 7, write=write,
+                                     execute=execute) == HPA + 7
+                assert allowed
+            except EPTViolation as err:
+                assert not allowed and err.reason == "protection"
 
     def test_unaligned_rejected(self):
         ept = EPT()

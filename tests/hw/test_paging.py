@@ -1,5 +1,7 @@
 """Guest page table tests."""
 
+import itertools
+
 import pytest
 
 from repro.errors import PageFault, SimulationError
@@ -120,6 +122,27 @@ class TestPageTable:
         dst.clone_mappings(src)
         assert dst.translate(GVA, user=False) == GPA
         assert len(dst) == 1
+
+    @pytest.mark.parametrize("w,u,x", list(itertools.product((0, 1),
+                                                             repeat=3)))
+    def test_packed_permissions_match_the_rules(self, w, u, x):
+        pt = PageTable()
+        pt.map(GVA, GPA, writable=bool(w), user=bool(u), executable=bool(x))
+        pte = pt.entry(GVA)
+        assert (pte.gpa, pte.writable, pte.user, pte.executable) == \
+            (GPA, bool(w), bool(u), bool(x))
+        for write, user, execute in itertools.product((False, True),
+                                                      repeat=3):
+            allowed = ((not write or w) and (not user or u)
+                       and (not execute or x))
+            assert pte.permits(write=write, user=user, execute=execute) \
+                == bool(allowed)
+            try:
+                assert pt.translate(GVA + 3, write=write, user=user,
+                                    execute=execute) == GPA + 3
+                assert allowed
+            except PageFault as err:
+                assert not allowed and err.reason == "protection"
 
     def test_entry_lookup(self):
         pt = PageTable()

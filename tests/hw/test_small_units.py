@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.hw.costs import Cost
-from repro.hw.idt import IDT, InterruptState
+from repro.hw.costs import Cost, DEFAULT_COST_MODEL, FEATURES_VMFUNC
+from repro.hw.cpu import CPU
+from repro.hw.idt import IDT
 from repro.hw.perf import PerfCounters
 from repro.hw.registers import (
     MSR_EPTP_LIST,
@@ -97,14 +98,15 @@ class TestIDT:
             idt.set_vector(256, lambda v: None)
 
     def test_interrupt_state(self):
-        state = InterruptState()
+        cpu = CPU(DEFAULT_COST_MODEL, FEATURES_VMFUNC)
+        state = cpu.interrupts
         assert state.interrupts_enabled
-        state.disable()
+        cpu.cli()
         assert not state.interrupts_enabled
-        state.enable()
+        cpu.sti()
         assert state.interrupts_enabled
         idt = IDT()
-        state.install(idt)
+        cpu.install_idt(idt)
         assert state.idt is idt
 
     def test_idt_ids_unique(self):

@@ -4,9 +4,11 @@ reproducible run-to-run (docs/architecture.md)."""
 import pytest
 
 from repro.analysis import experiments
+from repro.guestos.fs.inode import InodeType
 from repro.systems import Proxos, ShadowContext
 from repro.systems.base import install_redirection
-from repro.testbed import build_two_vm_machine, enter_vm_kernel
+from repro.testbed import (build_single_vm_machine, build_two_vm_machine,
+                           enter_vm_kernel)
 from repro.workloads.openssh import OpenSSHTransfer
 from repro.workloads.utilities import (
     prepare_inspection_environment,
@@ -68,6 +70,19 @@ class TestDeterminism:
         for op in a:
             for column in ("native", "crossover", "baseline"):
                 assert a[op][column] == b[op][column], (op, column)
+
+    def test_table7_unmoved_by_another_kernels_inodes(self):
+        """Inode numbers are per kernel: 100k inodes made on another
+        machine do not lengthen the stat results Table 7 marshals."""
+        before = experiments.table7_cell("crossover", iterations=2)
+        _machine, _vm, other = build_single_vm_machine()
+        tmp = other.rootfs.lookup(other.rootfs.root(), "tmp")
+        for _ in range(100_000):
+            other.rootfs.create(tmp, "scratch", InodeType.FILE)
+            other.rootfs.unlink(tmp, "scratch")
+        after = experiments.table7_cell("crossover", iterations=2)
+        assert after["stat"] == before["stat"]
+        assert after == before
 
     def test_figure2_traces_identical(self):
         a = experiments.run_figure2()
