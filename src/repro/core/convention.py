@@ -19,6 +19,7 @@ from __future__ import annotations
 import ast
 import zlib
 from collections import OrderedDict
+from math import isfinite
 from typing import Any
 
 from repro import hooks as _hooks
@@ -107,50 +108,47 @@ def _from_wire(value: Any) -> Any:
 # ---------------------------------------------------------------------------
 # The marshaling cache (always on).
 #
-# Benchmarks call the same operations thousands of times with identical
-# payloads, so the dominant pattern is re-encoding a value already seen
-# (and re-parsing a wire form already produced).  Both directions are
-# memoized in small LRUs.
+# A crossing needs a payload's wire bytes (copy charges and the
+# register-fit check depend only on their length) and a fresh copy for
+# the other side.  :func:`roundtrip` returns both from one content-keyed
+# LRU, ``key -> [wire, template]``; :func:`encode` reads only the wire
+# half, and the template is filled the first time a crossing needs it.
+# The wire is always the uncached reference encoding
+# ``repr(_to_wire(value)).encode()``.
 #
-# Encode keys capture the payload's full content (type-qualified, and
-# order-preserving for dicts, whose repr depends on insertion order), so
-# mutating a payload between encodes simply produces a different key.
-# Decode entries for deeply immutable payloads are shared outright; for
-# payloads containing mutable containers (or rich types like
-# ``GuestOSError``, whose instances must not be shared across raises)
-# the cache stores a frozen *template* that is thawed — rebuilt
-# container-by-container — on every hit, so no two callers ever alias.
-# The wire bytes produced are the exact uncached reference encoding
-# ``repr(_to_wire(value)).encode()``, so simulated copy charges (which
-# depend only on payload length) are bit-identical.
+# The copy is thawed (rebuilt container by container, so no two
+# receivers alias) from a template frozen from the live value; the wire
+# is never parsed back.  That equals ``decode(encode(value))`` only in
+# the *literal-safe domain*, the values :func:`_cache_key` keys; the
+# rest take that reference path, so they are accepted or rejected
+# exactly as the wire is.
+#
+# :func:`decode` keeps a wire-keyed LRU for readers that really hold
+# bytes (channel reads, Tahoma's link).
 # ---------------------------------------------------------------------------
 
 _CACHE_MAX = 4096
 
-_encode_cache: "OrderedDict[Any, bytes]" = OrderedDict()
+#: content key -> ``[wire bytes, template or None until first needed]``.
+_marshal_cache: "OrderedDict[Any, list]" = OrderedDict()
 _decode_cache: "OrderedDict[bytes, Any]" = OrderedDict()
 
-#: Integrity digests of cached encode wires, maintained only while a
-#: fault engine is installed (the hot path pays nothing otherwise).
-#: A hit whose wire no longer matches its digest is a poisoned entry:
-#: it is dropped and re-encoded from the live payload instead of ever
-#: handing corrupted bytes to a channel.
+#: Integrity digests of cached wires, maintained only while a fault
+#: engine is installed (the hot path pays nothing otherwise).  A hit
+#: whose wire no longer matches its digest is a poisoned entry: its wire
+#: is re-encoded from the live payload instead of ever handing corrupted
+#: bytes to a channel.
 _encode_crc: dict = {}
 
-#: One-walk round-trip memo: content key -> (wire bytes, frozen decoded
-#: template).  Hot call paths need *both* the wire form (for copy
-#: charges and register-fit checks) and a fresh decoded copy (for the
-#: callee); going through ``encode`` then ``decode`` walks the payload
-#: once to key the encode cache and then hashes the produced wire again
-#: to key the decode cache.  :func:`roundtrip` does one content-key walk
-#: and returns both halves.
-_roundtrip_cache: "OrderedDict[Any, tuple]" = OrderedDict()
-
-#: Hit/miss statistics, exposed for BENCH artifacts and tests.
+#: Hit/miss statistics, exposed for BENCH artifacts and tests.  A
+#: :func:`roundtrip` hit or miss counts as an encode hit or miss.
 cache_stats = {"encode_hits": 0, "encode_misses": 0,
                "decode_hits": 0, "decode_misses": 0,
-               "roundtrip_hits": 0, "roundtrip_misses": 0,
                "poison_repaired": 0}
+
+#: Leaves keyed by value: equal values of these types share one repr
+#: (floats do not, and are keyed by :func:`_cache_key` itself).
+_EXACT_LEAVES = _LEAF_TYPES - {float}
 
 #: ``_cache_key({})``.
 _EMPTY_DICT_KEY = (dict, ())
@@ -158,26 +156,28 @@ _EMPTY_DICT_KEY = (dict, ())
 
 def _cache_key(value: Any) -> Any:
     """A hashable key identifying ``value`` and its structure, or
-    ``None`` when the payload is not safely cacheable.
+    ``None`` when ``value`` is outside the literal-safe domain.
 
-    The concrete type is part of the key: ``1``, ``1.0`` and ``True``
-    hash equal but encode differently.  Mutable containers are keyed by
-    content, which is safe for *encode*: a later mutation yields a
-    different key rather than a stale hit.
+    The concrete type is part of the key, and a float is keyed by its
+    repr.  Mutable containers are keyed by content: a later mutation
+    yields a different key rather than a stale hit.  ``None`` marks
+    non-finite floats (``nan`` and ``inf`` do not parse back), dict keys
+    that are not exact literal types, ``StatResult``/``GuestOSError``
+    fields of unexpected types and unknown types.
 
-    Scalar, bytes and empty-dict items are keyed in the loop itself, so
-    a ``(name, args, kwargs)`` request with scalar arguments and no
+    Exact leaves and empty dicts are keyed in the loop itself, so a
+    ``(name, args, kwargs)`` request with scalar arguments and no
     keywords costs two calls (the request and its ``args``), and a
     directory listing costs one.
     """
     t = type(value)
-    if t in _LEAF_TYPES:
+    if t in _EXACT_LEAVES:
         return (t, value)
     if t is tuple or t is list:
         parts = []
         for item in value:
             it = type(item)
-            if it in _LEAF_TYPES:
+            if it in _EXACT_LEAVES:
                 parts.append((it, item))
             elif it is dict and not item:
                 parts.append(_EMPTY_DICT_KEY)
@@ -190,8 +190,17 @@ def _cache_key(value: Any) -> Any:
     if t is dict:
         parts = []
         for k, item in value.items():
+            kt = type(k)
+            if kt in _EXACT_LEAVES:
+                k = (kt, k)
+            elif kt is float:
+                k = _cache_key(k)
+                if k is None:
+                    return None
+            else:
+                return None
             it = type(item)
-            if it in _LEAF_TYPES:
+            if it in _EXACT_LEAVES:
                 parts.append((k, (it, item)))
                 continue
             part = _cache_key(item)
@@ -199,18 +208,24 @@ def _cache_key(value: Any) -> Any:
                 return None
             parts.append((k, part))
         return (dict, tuple(parts))
+    if t is float:
+        return (float, repr(value)) if isfinite(value) else None
     if t is StatResult:
-        return (StatResult, value.ino, value.type, value.mode, value.uid,
-                value.gid, value.size, value.nlink, value.atime,
-                value.mtime, value.ctime)
+        fields = (value.ino, value.mode, value.uid, value.gid, value.size,
+                  value.nlink, value.atime, value.mtime, value.ctime)
+        for field in fields:
+            if type(field) is not int:
+                return None
+        return (StatResult, value.type, fields)
     if t is GuestOSError:
-        return (GuestOSError, value.errno, value.message)
+        if type(value.errno) is int and type(value.message) is str:
+            return (GuestOSError, value.errno, value.message)
     return None
 
 
 class _Thaw:
-    """Frozen template for a decoded payload that must be rebuilt (not
-    shared) on every cache hit."""
+    """Frozen template for a payload that must be rebuilt (not shared)
+    on every use."""
 
     __slots__ = ("items",)
 
@@ -244,7 +259,8 @@ _THAW_TYPES = frozenset({_ThawList, _ThawTuple, _ThawDict, _ThawStat,
 
 
 def _freeze(value: Any) -> Any:
-    """Build a cacheable template for a decoded value.
+    """Build a cacheable template for a value in the literal-safe domain
+    (a live payload or a decoded one).
 
     Deeply immutable values are returned as-is (shared on hits);
     anything containing a mutable container or a rich type becomes a
@@ -300,161 +316,63 @@ def _thaw(node: Any) -> Any:
     return node
 
 
-class _Unsupported(Exception):
-    """Wire text outside the fast parser's grammar (fall back to ast)."""
-
-
-_NUM_CHARS = frozenset("0123456789+-.eE")
-
-
-def _fl_value(text: str, i: int):
-    """Parse one literal starting at ``text[i]``; return ``(value, end)``.
-
-    Handles exactly the subset :func:`encode` emits — numbers, strings
-    without escapes, tuples/lists/dicts and the three constants — and
-    raises :class:`_Unsupported` for anything else, so the caller can
-    fall back to :func:`ast.literal_eval` (whose accept/reject behaviour
-    therefore stays authoritative for everything unusual).
-    """
-    n = len(text)
-    if i >= n:
-        raise _Unsupported
-    c = text[i]
-    if c == "'" or c == '"':
-        j = text.find(c, i + 1)
-        if j < 0:
-            raise _Unsupported
-        seg = text[i + 1:j]
-        if "\\" in seg:
-            raise _Unsupported
-        return seg, j + 1
-    if c == "(":
-        return _fl_seq(text, i + 1, ")", True)
-    if c == "[":
-        return _fl_seq(text, i + 1, "]", False)
-    if c == "{":
-        return _fl_dict(text, i + 1)
-    if c in _NUM_CHARS:
-        j = i + 1
-        while j < n and text[j] in _NUM_CHARS:
-            j += 1
-        tok = text[i:j]
-        try:
-            if "." in tok or "e" in tok or "E" in tok:
-                return float(tok), j
-            return int(tok), j
-        except ValueError:
-            raise _Unsupported from None
-    if text.startswith("None", i):
-        return None, i + 4
-    if text.startswith("True", i):
-        return True, i + 4
-    if text.startswith("False", i):
-        return False, i + 5
-    raise _Unsupported
-
-
-def _fl_seq(text: str, i: int, close: str, is_tuple: bool):
-    items = []
-    n = len(text)
-    saw_comma = False
-    while True:
-        while i < n and text[i] == " ":
-            i += 1
-        if i >= n:
-            raise _Unsupported
-        if text[i] == close:
-            if is_tuple:
-                # "(x)" is a parenthesised scalar, not a 1-tuple.
-                if len(items) == 1 and not saw_comma:
-                    raise _Unsupported
-                return tuple(items), i + 1
-            return items, i + 1
-        value, i = _fl_value(text, i)
-        items.append(value)
-        while i < n and text[i] == " ":
-            i += 1
-        if i < n and text[i] == ",":
-            saw_comma = True
-            i += 1
-        elif i < n and text[i] == close:
-            if is_tuple and len(items) == 1 and not saw_comma:
-                raise _Unsupported
-            return (tuple(items), i + 1) if is_tuple else (items, i + 1)
-        else:
-            raise _Unsupported
-
-
-def _fl_dict(text: str, i: int):
-    items: dict = {}
-    n = len(text)
-    while True:
-        while i < n and text[i] == " ":
-            i += 1
-        if i >= n:
-            raise _Unsupported
-        if text[i] == "}":
-            return items, i + 1
-        key, i = _fl_value(text, i)
-        while i < n and text[i] == " ":
-            i += 1
-        if i >= n or text[i] != ":":
-            raise _Unsupported
-        i += 1
-        while i < n and text[i] == " ":
-            i += 1
-        value, i = _fl_value(text, i)
-        try:
-            items[key] = value
-        except TypeError:
-            raise _Unsupported from None
-        while i < n and text[i] == " ":
-            i += 1
-        if i < n and text[i] == ",":
-            i += 1
-        elif i < n and text[i] == "}":
-            return items, i + 1
-        else:
-            raise _Unsupported
-
-
-def _fast_literal(text: str):
-    """Parse a wire literal without :func:`ast.literal_eval`.
-
-    ~5x faster than compile+ast-walk on the short payloads the channel
-    carries; raises :class:`_Unsupported` outside its strict grammar.
-    """
-    value, i = _fl_value(text, 0)
-    if i != len(text):
-        raise _Unsupported
-    return value
-
-
 def clear_caches() -> None:
     """Drop the marshaling caches and zero the statistics."""
-    _encode_cache.clear()
+    _marshal_cache.clear()
     _decode_cache.clear()
-    _roundtrip_cache.clear()
     _encode_crc.clear()
     for key in cache_stats:
         cache_stats[key] = 0
 
 
 def poison_encode_cache() -> int:
-    """Corrupt every tracked encode-cache wire (fault injection).
+    """Corrupt every tracked cached wire (fault injection).
 
     Flips the last byte of each cached wire whose integrity digest is
     being maintained; returns how many entries were poisoned.  Used by
     the ``core.marshal_cache_poison`` injection site.
     """
     poisoned = 0
-    for key in list(_encode_crc):
-        wire = _encode_cache.get(key)
-        if wire is None or not wire:
+    for key in _encode_crc:
+        entry = _marshal_cache.get(key)
+        if entry is None or not entry[0]:
             continue
-        _encode_cache[key] = wire[:-1] + bytes([wire[-1] ^ 0xFF])
+        wire = entry[0]
+        entry[0] = wire[:-1] + bytes([wire[-1] ^ 0xFF])
         poisoned += 1
     return poisoned
+
+
+def _slow_lookup(key: Any, value: Any, entry: "list | None") -> list:
+    """The cache entry ``[wire, template]`` of ``value`` (content key
+    ``key``) when the inline hit path of :func:`encode` and
+    :func:`roundtrip` cannot serve it: made on a miss (``entry`` is
+    ``None``), or checked because a fault engine is installed.
+
+    A checked hit whose wire fails its integrity digest is repaired
+    from the live payload here, so every reader of the cache only ever
+    sees intact bytes.
+    """
+    if entry is None:
+        cache_stats["encode_misses"] += 1
+        entry = [repr(_to_wire(value)).encode(), None]
+        _marshal_cache[key] = entry
+        if _hooks.faults is not None:
+            _encode_crc[key] = zlib.crc32(entry[0])
+        if len(_marshal_cache) > _CACHE_MAX:
+            evicted_key, _ = _marshal_cache.popitem(last=False)
+            _encode_crc.pop(evicted_key, None)
+        return entry
+    crc = _encode_crc.get(key)
+    if crc is not None and zlib.crc32(entry[0]) != crc:
+        entry[0] = repr(_to_wire(value)).encode()
+        _encode_crc[key] = zlib.crc32(entry[0])
+        cache_stats["poison_repaired"] += 1
+        for fn in _hooks.marshal_repair:
+            fn()
+    _marshal_cache.move_to_end(key)
+    cache_stats["encode_hits"] += 1
+    return entry
 
 
 def encode(value: Any) -> bytes:
@@ -467,33 +385,14 @@ def encode(value: Any) -> bytes:
         # no tagging walk and no cache bookkeeping needed.
         return repr(value).encode()
     key = _cache_key(value)
-    if key is not None:
-        cached = _encode_cache.get(key)
-        if cached is not None:
-            if _hooks.faults is not None:
-                crc = _encode_crc.get(key)
-                if crc is not None and zlib.crc32(cached) != crc:
-                    # Poisoned entry: repair from the live payload
-                    # rather than ever returning corrupted bytes.
-                    cached = repr(_to_wire(value)).encode()
-                    _encode_cache[key] = cached
-                    _encode_crc[key] = zlib.crc32(cached)
-                    cache_stats["poison_repaired"] += 1
-                    for fn in _hooks.marshal_repair:
-                        fn()
-            _encode_cache.move_to_end(key)
-            cache_stats["encode_hits"] += 1
-            return cached
-    wire = repr(_to_wire(value)).encode()
-    if key is not None:
-        cache_stats["encode_misses"] += 1
-        _encode_cache[key] = wire
-        if _hooks.faults is not None:
-            _encode_crc[key] = zlib.crc32(wire)
-        if len(_encode_cache) > _CACHE_MAX:
-            evicted_key, _ = _encode_cache.popitem(last=False)
-            _encode_crc.pop(evicted_key, None)
-    return wire
+    if key is None:
+        return repr(_to_wire(value)).encode()
+    entry = _marshal_cache.get(key)
+    if entry is None or _hooks.faults is not None:
+        return _slow_lookup(key, value, entry)[0]
+    _marshal_cache.move_to_end(key)
+    cache_stats["encode_hits"] += 1
+    return entry[0]
 
 
 def decode(data: bytes) -> Any:
@@ -504,12 +403,7 @@ def decode(data: bytes) -> Any:
         cache_stats["decode_hits"] += 1
         return _thaw(cached) if isinstance(cached, _Thaw) else cached
     try:
-        text = data.decode()
-        try:
-            literal = _fast_literal(text)
-        except _Unsupported:
-            literal = ast.literal_eval(text)
-        value = _from_wire(literal)
+        value = _from_wire(ast.literal_eval(data.decode()))
     except (ValueError, SyntaxError) as err:
         raise SimulationError(f"corrupt wire payload: {err}") from err
     cache_stats["decode_misses"] += 1
@@ -520,40 +414,35 @@ def decode(data: bytes) -> Any:
 
 
 def roundtrip(value: Any) -> "tuple[bytes, Any]":
-    """Marshal ``value`` and return ``(wire, fresh_decoded_copy)`` with a
-    single content-key walk.
+    """Marshal ``value`` for a crossing: ``(wire, fresh_copy)``.
 
-    Equivalent to ``(encode(value), decode(encode(value)))`` but on the
-    hot path: one :func:`_cache_key` walk keys both halves, so a hit
-    does zero hashing of the produced wire bytes.  Callers must only use
-    this while no fault engine is installed — the poison-repair CRC
-    validation lives in :func:`encode` and is deliberately skipped here
-    (:meth:`~repro.core.call.WorldCallRuntime._call` takes the separate
-    encode/decode path whenever faults are armed).
+    Always equal to ``(encode(value), decode(encode(value)))``, raising
+    the same :class:`SimulationError` where that does, but the wire is
+    never parsed: one content-key walk finds the shared cache entry and
+    the copy is thawed from a template of the value itself.  Safe with a
+    fault engine installed (the poison check is in :func:`_slow_lookup`).
     """
     t = type(value)
-    if t in _SCALAR_TYPES:
+    if t in _SCALAR_TYPES and (t is not float or isfinite(value)):
         # Scalars are immutable and shareable: the repr is the wire form
         # and the "fresh copy" is the value itself.
         return repr(value).encode(), value
     key = _cache_key(value)
     if key is None:
-        wire = encode(value)
+        # Outside the literal-safe domain: the reference path.
+        wire = repr(_to_wire(value)).encode()
         return wire, decode(wire)
-    hit = _roundtrip_cache.get(key)
-    if hit is not None:
-        _roundtrip_cache.move_to_end(key)
-        cache_stats["roundtrip_hits"] += 1
-        wire, frozen = hit
-        return wire, (_thaw(frozen) if isinstance(frozen, _Thaw) else frozen)
-    cache_stats["roundtrip_misses"] += 1
-    wire = encode(value)
-    fresh = decode(wire)
-    # Freeze before handing ``fresh`` back: the caller may mutate it.
-    _roundtrip_cache[key] = (wire, _freeze(fresh))
-    if len(_roundtrip_cache) > _CACHE_MAX:
-        _roundtrip_cache.popitem(last=False)
-    return wire, fresh
+    entry = _marshal_cache.get(key)
+    if entry is None or _hooks.faults is not None:
+        entry = _slow_lookup(key, value, entry)
+    else:
+        _marshal_cache.move_to_end(key)
+        cache_stats["encode_hits"] += 1
+    template = entry[1]
+    if template is None:
+        template = entry[1] = _freeze(value)
+    return entry[0], (_thaw(template) if isinstance(template, _Thaw)
+                      else template)
 
 
 def fits_registers(data: bytes) -> bool:

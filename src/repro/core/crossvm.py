@@ -318,7 +318,9 @@ class CrossVMSyscallMechanism:
         else:
             cpu.write_virt(memory, SHARED_GVA, _CTX_ZEROS)
             state.ctx_zeroed = True
-        request = convention.encode(request_obj)
+        # One marshal walk per handoff: the wire the helper writes and
+        # the copy the VM2 kernel reads back come from the same value.
+        request, request_copy = convention.roundtrip(request_obj)
         if len(request) > _MSG_CAPACITY:
             raise self._too_big(len(request))
         cpu.write_virt(memory, _MSG_GVA,
@@ -342,12 +344,12 @@ class CrossVMSyscallMechanism:
         cpu.sti()
         _read_back(cpu, request)
         try:
-            outcome = server(convention.decode(request))
+            outcome = server(request_copy)
         except GuestOSError as err:
             outcome = err
 
         # Step 5: returned buffer into the shared page, switch back.
-        reply = convention.encode(outcome)
+        reply, result = convention.roundtrip(outcome)
         if len(reply) > _MSG_CAPACITY:
             raise self._too_big(len(reply))
         cpu.write_virt(memory, _MSG_GVA, len(reply).to_bytes(4, "big") + reply)
@@ -363,7 +365,6 @@ class CrossVMSyscallMechanism:
         cpu.write_cr3(saved_pt)
         state.calls += 1
 
-        result = convention.decode(reply)
         if isinstance(result, GuestOSError):
             raise result
         return result

@@ -21,6 +21,7 @@ from typing import Any
 
 from repro.core import convention
 from repro.errors import GuestOSError
+from repro.hw.cpu import Mode
 from repro.hw.vmx import ExitReason
 from repro.hypervisor.injection import VECTOR_SYSCALL_REDIRECT
 from repro.systems.base import CrossWorldSystem
@@ -52,9 +53,14 @@ class ShadowContext(CrossWorldSystem):
 
     def _redirect(self, name: str, *args, **kwargs) -> Any:
         """One introspection syscall executed in the untrusted VM."""
-        self._require_local_kernel()
+        cpu = self.machine.cpu
+        if (cpu.mode is not Mode.NON_ROOT
+                or cpu.vm_name != self.local_vm.name or cpu.ring != 0):
+            self._require_local_kernel()
         if self.optimized:
-            return self._optimized_redirect(name, *args, **kwargs)
+            return self.crossvm.call(self.local_vm, self.remote_vm, name,
+                                     *args, executor=self.remote_executor,
+                                     **kwargs)
         return self._baseline_redirect(name, *args, **kwargs)
 
     # ------------------------------------------------------------------

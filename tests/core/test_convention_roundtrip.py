@@ -5,6 +5,8 @@ The always-on marshaling cache must be invisible: for every payload,
 the uncached reference encoding ``repr(_to_wire(v)).encode()``.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import convention
@@ -28,6 +30,7 @@ PAYLOADS = [
     ("mixed", [_stat(9), b"raw", {"deep": (GuestOSError(13, "eacces"),)}]),
     (("t", ("u", ("p", ("l", "e"))))),
     {"empty-ish": [None, (), [], {}, "", b""]},
+    {b"k": [1], 2: None, 1.5: "f", None: (), True: -0.0},
 ]
 
 
@@ -37,7 +40,8 @@ def _reference_encode(value):
 
 
 def _eq(a, b):
-    """Equality that also distinguishes GuestOSError payloads."""
+    """Equality that also distinguishes GuestOSError payloads, dict key
+    types and the sign of a float zero."""
     if isinstance(a, GuestOSError):
         return (isinstance(b, GuestOSError) and a.errno == b.errno
                 and a.message == b.message)
@@ -45,8 +49,10 @@ def _eq(a, b):
         return (type(a) is type(b) and len(a) == len(b)
                 and all(_eq(x, y) for x, y in zip(a, b)))
     if isinstance(a, dict):
-        return (isinstance(b, dict) and a.keys() == b.keys()
-                and all(_eq(v, b[k]) for k, v in a.items()))
+        return isinstance(b, dict) and _eq(list(a.items()),
+                                           list(b.items()))
+    if type(a) is float:
+        return type(b) is float and repr(a) == repr(b)
     return type(a) is type(b) and a == b
 
 
@@ -92,6 +98,21 @@ class TestScalarTypeFidelity:
             with pytest.raises(SimulationError, match="cannot marshal"):
                 encode(InodeType.FILE)
 
+    @pytest.mark.parametrize("first,second", [
+        ({1: "a"}, {True: "a"}), ({0: "a"}, {False: "a"}),
+        ({2: "a"}, {2.0: "a"}), ({0.0: "a"}, {-0.0: "a"}),
+        ((0.0,), (-0.0,)), ([1.0, 0.0], [1.0, -0.0]),
+    ])
+    def test_equal_hashing_keys_and_zeros_stay_distinct(self, first,
+                                                         second):
+        """Dict keys and float zeros that hash equal but encode apart
+        must not share a cache entry, whichever is marshaled first."""
+        convention.clear_caches()
+        for v in (first, second, first, second):
+            assert convention.encode(v) == _reference_encode(v)
+            wire, copy = convention.roundtrip(v)
+            assert wire == _reference_encode(v) and _eq(copy, v)
+
     def test_bool_int_reprs_survive_caching(self):
         """An int subclass like bool must keep its own wire form even
         after the other type was cached under an equal-hashing key."""
@@ -99,6 +120,35 @@ class TestScalarTypeFidelity:
         assert convention.encode((1,)) == b"(1,)"
         assert convention.encode((True,)) == b"(True,)"
         assert convention.encode((1.0,)) == b"(1.0,)"
+
+
+class TestLiteralSafeDomain:
+    """``roundtrip(v)`` is ``(encode(v), decode(encode(v)))``, also where
+    the wire does not parse back."""
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), (1, float("nan")),
+        [float("inf")], {"k": -float("inf")}, {float("nan"): 1},
+        {float("inf"): 1}, replace(_stat(), atime=float("nan")),
+    ], ids=repr)
+    def test_non_finite_rejected_like_the_wire(self, value):
+        for _ in range(2):      # never cached, cold or warm
+            wire = convention.encode(value)
+            assert wire == _reference_encode(value)
+            with pytest.raises(SimulationError):
+                convention.decode(wire)
+            with pytest.raises(SimulationError):
+                convention.roundtrip(value)
+
+    @pytest.mark.parametrize("value", [
+        {(1, 2): "tuple key"}, {("__bytes__", "61"): 1},
+        replace(_stat(), atime=1.5), GuestOSError(True, "bool errno"),
+    ], ids=repr)
+    def test_outside_the_key_domain_matches_reference(self, value):
+        convention.clear_caches()
+        wire, copy = convention.roundtrip(value)
+        assert wire == _reference_encode(value)
+        assert _eq(copy, convention.decode(wire))
 
 
 class TestCacheSafety:
@@ -126,7 +176,7 @@ class TestCacheSafety:
         convention.clear_caches()
         for i in range(convention._CACHE_MAX + 100):
             convention.encode((b"pad", i))
-        assert len(convention._encode_cache) <= convention._CACHE_MAX
+        assert len(convention._marshal_cache) <= convention._CACHE_MAX
 
 
 class TestCorruptPayloads:

@@ -2,14 +2,15 @@
 invariants."""
 
 import string
+from dataclasses import astuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import convention
-from repro.errors import GuestOSError, PageFault
+from repro.errors import GuestOSError, PageFault, SimulationError
 from repro.guestos.fd import FDTable, MAX_FDS, OpenFile
-from repro.guestos.fs.inode import Inode, InodeType
+from repro.guestos.fs.inode import Inode, InodeType, StatResult
 from repro.guestos.pipe import Pipe, WouldBlock
 from repro.hw.costs import Cost
 from repro.hw.ept import EPT
@@ -33,11 +34,144 @@ _wire_values = st.recursive(
     max_leaves=12)
 
 
+#: Scalars, ``nan``/``inf`` included, and the rich result types.
+_marshal_leaves = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12) | st.binary(max_size=12)
+    | st.builds(StatResult, ino=st.integers(0, 2 ** 40),
+                type=st.sampled_from(InodeType), mode=st.integers(0, 0o7777),
+                uid=st.integers(0, 65535), gid=st.integers(0, 65535),
+                size=st.integers(0, 2 ** 40), nlink=st.integers(1, 8),
+                atime=st.integers() | st.floats(), mtime=st.integers(),
+                ctime=st.integers())
+    | st.builds(GuestOSError, st.integers(0, 200) | st.booleans(),
+                st.text(max_size=12)))
+
+#: Dict keys of every literal type, equal-hashing ones (1/True/1.0,
+#: 0.0/-0.0) included, and tuple keys outside the keyed domain.
+_marshal_keys = (st.none() | st.booleans() | st.integers(-3, 3)
+                 | st.floats() | st.text(max_size=6) | st.binary(max_size=6)
+                 | st.tuples(st.integers(-3, 3), st.text(max_size=3)))
+
+_marshal_values = _marshal_leaves | st.recursive(
+    _marshal_leaves,
+    lambda children: st.lists(children, max_size=4).map(tuple)
+    | st.lists(children, max_size=4)
+    | st.dictionaries(_marshal_keys, children, max_size=4)
+    # user tuples whose first element collides with a wire tag
+    | st.tuples(st.sampled_from(sorted(convention._ALL_TAGS)),
+                st.lists(children, max_size=3)).map(
+                    lambda t: (t[0], *t[1])),
+    max_leaves=12)
+
+
+def _same(a, b) -> bool:
+    """Structural equality that tells apart what the wire tells apart:
+    exact types (dict keys included), float signs and GuestOSError
+    contents."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is GuestOSError:
+        return _same((a.errno, a.message), (b.errno, b.message))
+    if type(a) is StatResult:
+        return _same(astuple(a), astuple(b))
+    if type(a) in (list, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if type(a) is dict:
+        return _same(list(a.items()), list(b.items()))
+    if type(a) is float:
+        return repr(a) == repr(b)
+    return a == b
+
+
+def _twin(value):
+    """A value equal to ``value`` (so hashing equal) that encodes
+    differently wherever it can: ``True``/``1``, ``2``/``2.0``,
+    ``0.0``/``-0.0``, in leaves and dict keys alike."""
+    t = type(value)
+    if t is bool:
+        return int(value)
+    if t is int:
+        if value in (0, 1):
+            return bool(value)
+        return float(value) if abs(value) < 2 ** 53 else value
+    if t is float:
+        return -value if value == 0 else value
+    if t in (list, tuple):
+        return t(map(_twin, value))
+    if t is dict:
+        return {_twin(k): _twin(v) for k, v in value.items()}
+    return value
+
+
+def _scribble(value) -> None:
+    """Mutate every mutable part of a received copy in place."""
+    if type(value) in (list, tuple):
+        for item in value:
+            _scribble(item)
+        if type(value) is list:
+            value.append("scribbled")
+    elif type(value) is dict:
+        for item in value.values():
+            _scribble(item)
+        value["scribbled"] = True
+    elif type(value) is GuestOSError:
+        value.errno, value.message = -1, "scribbled"
+
+
 class TestConventionProperties:
     @given(_wire_values)
     @settings(max_examples=150)
     def test_encode_decode_roundtrip(self, value):
         assert convention.decode(convention.encode(value)) == value
+
+    @given(_marshal_values, st.sampled_from(["cold", "encode", "twin"]))
+    @settings(max_examples=300,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_roundtrip_is_encode_then_decode(self, value, warm):
+        """``roundtrip(v)`` returns ``(encode(v), decode(encode(v)))``
+        with the reference wire, or both raise ``SimulationError`` —
+        from a cold cache, after ``encode`` alone filled the entry, and
+        after an equal-hashing twin was marshaled."""
+        convention.clear_caches()
+        reference = repr(convention._to_wire(value)).encode()
+        if warm == "encode":
+            assert convention.encode(value) == reference
+        elif warm == "twin":
+            twin = _twin(value)
+            convention.encode(twin)
+            try:
+                convention.roundtrip(twin)
+            except SimulationError:
+                pass
+        try:
+            expected = convention.decode(reference)
+        except SimulationError:
+            with pytest.raises(SimulationError):
+                convention.roundtrip(value)
+            return
+        wire, copy = convention.roundtrip(value)
+        assert wire == reference == convention.encode(value)
+        assert _same(copy, expected)
+
+    @given(_marshal_values)
+    @settings(max_examples=300,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_mutated_copy_never_leaks(self, value):
+        """Scribbling on a received copy changes neither the sender's
+        value nor what a later ``roundtrip`` of it returns."""
+        convention.clear_caches()
+        reference = repr(convention._to_wire(value)).encode()
+        try:
+            wire, copy = convention.roundtrip(value)
+        except SimulationError:
+            return
+        expected = convention.decode(reference)
+        for _ in range(2):
+            _scribble(copy)
+            assert repr(convention._to_wire(value)).encode() == reference
+            wire, copy = convention.roundtrip(value)
+            assert wire == reference and _same(copy, expected)
 
     @given(st.integers(min_value=0, max_value=200))
     def test_errno_roundtrip(self, errno):
